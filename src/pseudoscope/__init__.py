@@ -46,7 +46,6 @@ from .geometry import (
     annulus_prob_limit,
     corner_eigenvalues,
     critical_values,
-    region_contains,
     root_separation_stats,
     separation_radius,
     symbol_image_curve,

@@ -26,7 +26,6 @@ from .geometry import (
     ExclusionSet,
     SymbolBand,
     separation_radius,
-    symbol_preimages,
 )
 from .linalg import PolySymbol, jordan_corner, jordan_nilpotent, toeplitz_from_symbol
 from .sampling import SeededRng, apply_perturbation, rank1_perturbation
@@ -200,11 +199,17 @@ class ExperimentConfig:
             raise ConfigError("symbol degree must be below the dimension")
 
     def resolved_solver(self):
+        """The route for ``solver = auto``.  Symbols of degree 3 and above
+        go to dense QR: the resolvent route returns wrong spectra for them
+        with a small residual and no error."""
         if self.solver != "auto":
             return self.solver
-        if self.structure.kind == "jordan":
+        kind = self.structure.kind
+        if kind == "jordan":
             return SOLVER_JORDAN_POLY
-        if self.structure.kind == "jordan-corner":
+        if kind == "jordan-corner":
+            return SOLVER_DENSE
+        if kind == "toeplitz" and self.structure.symbol().degree >= 3:
             return SOLVER_DENSE
         return SOLVER_RESOLVENT
 
@@ -272,43 +277,6 @@ class ConcentrationReport:
     records: list = field(default_factory=list, repr=False)
 
 
-def _region_deviations(region, lams):
-    return region.deviation(lams)
-
-
-def _outward_deviations(region, lams):
-    """Signed-excess component of the deviation (outside the reference
-    circle / band mid-curve), clipped at zero; for disk unions the plain
-    distance, which is already one-sided."""
-    lams = np.atleast_1d(np.asarray(lams, dtype=np.complex128))
-    if isinstance(region, DiskUnion):
-        return region.deviation(lams)
-    if isinstance(region, Annulus):
-        return np.maximum(np.abs(lams - region.center) - region.ref, 0.0)
-    if isinstance(region, SymbolBand):
-        p = region.symbol
-        n = p.degree
-        if n == 1:
-            z = (lams - p.coeffs[0]) / p.coeffs[1]
-            return np.maximum(np.abs(z) - 1.0, 0.0)
-        out = np.empty(lams.size)
-        for i, lam in enumerate(lams):
-            z = symbol_preimages(p, lam)
-            j = int(np.argmin(np.abs(np.abs(z) - 1.0)))
-            out[i] = max(abs(z[j]) - 1.0, 0.0)
-        return out
-    raise ShapeError(f"unsupported region {type(region).__name__}")
-
-
-def _outward_band_quadratic(p, lams):
-    a0, a1, a2 = p.coeffs
-    disc = np.sqrt(a1 * a1 - 4.0 * a2 * (a0 - lams) + 0j)
-    z1 = np.abs((-a1 + disc) / (2.0 * a2))
-    z2 = np.abs((-a1 - disc) / (2.0 * a2))
-    pick = np.where(np.abs(z1 - 1.0) <= np.abs(z2 - 1.0), z1, z2)
-    return np.maximum(pick - 1.0, 0.0)
-
-
 def run_experiment(cfg: ExperimentConfig, threads=1) -> ConcentrationReport:
     """Run N independent perturbation trials and classify each spectrum
     against the structure's concentration region.
@@ -325,7 +293,6 @@ def run_experiment(cfg: ExperimentConfig, threads=1) -> ConcentrationReport:
         raise ConfigError("the jordan-poly solver applies only to the jordan structure")
     if solver == SOLVER_RESOLVENT and structure.kind == "jordan-corner":
         raise ConfigError("the corner structure is not upper triangular; use dense-qr")
-    use_quadratic_band = isinstance(region, SymbolBand) and region.symbol.degree == 2
 
     def one_trial(i):
         rng = SeededRng(cfg.seed, i)
@@ -350,12 +317,7 @@ def run_experiment(cfg: ExperimentConfig, threads=1) -> ConcentrationReport:
                 solver=solver,
             )
         lams = spectrum.eigenvalues
-        devs = _region_deviations(region, lams)
-        if use_quadratic_band:
-            outward = _outward_band_quadratic(region.symbol, lams)
-        else:
-            outward = _outward_deviations(region, lams)
-        in_region = region.contains_many(lams)
+        devs, outward, in_region = region.classify(lams)
         if exclusion is not None:
             in_exclusion = exclusion.mask(lams)
         else:

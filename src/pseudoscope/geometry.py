@@ -23,7 +23,6 @@ __all__ = [
     "ExclusionSet",
     "RootSeparationStats",
     "separation_radius",
-    "region_contains",
     "critical_values",
     "symbol_preimages",
     "root_separation_stats",
@@ -48,8 +47,27 @@ def separation_radius(centers):
     return float(np.min(d)) / 2.0
 
 
+class _Region:
+    """Shared membership API of the concentration regions.
+
+    Each region implements ``classify(lams) -> (deviation, outward,
+    inside)``: the two-sided distance to its reference set, the outward
+    excess beyond it (clipped at zero) and strict membership, all from
+    one pass over the values.
+    """
+
+    def deviation(self, lams):
+        return self.classify(lams)[0]
+
+    def contains_many(self, lams):
+        return self.classify(lams)[2]
+
+    def contains(self, lam):
+        return bool(self.contains_many(lam)[0])
+
+
 @dataclass(frozen=True)
-class DiskUnion:
+class DiskUnion(_Region):
     """Union of open disks of a common radius around the given centers.
 
     Construction enforces disjointness: the radius may not exceed half the
@@ -71,20 +89,16 @@ class DiskUnion:
                 f"{separation_radius(c)}; disks would intersect"
             )
 
-    def contains(self, lam):
-        return bool(np.min(np.abs(lam - self.centers)) < self.radius)
-
-    def contains_many(self, lams):
-        return self.deviation(lams) < self.radius
-
-    def deviation(self, lams):
-        """Distance of each value to its nearest center."""
+    def classify(self, lams):
+        """The deviation is the distance to the nearest center, which is
+        already one-sided, so it doubles as the outward excess."""
         lams = np.atleast_1d(np.asarray(lams, dtype=np.complex128))
-        return np.min(np.abs(lams[:, None] - self.centers[None, :]), axis=1)
+        dist = np.min(np.abs(lams[:, None] - self.centers[None, :]), axis=1)
+        return dist, dist, dist < self.radius
 
 
 @dataclass(frozen=True)
-class Annulus:
+class Annulus(_Region):
     """Open annulus ``inner < |lam - center| < outer``.
 
     ``ref`` is the radius of the reference circle used for deviation
@@ -118,23 +132,16 @@ class Annulus:
     def scale(self):
         return self.ref
 
-    def contains(self, lam):
-        r = abs(lam - self.center)
-        return self.inner < r < self.outer
-
-    def contains_many(self, lams):
+    def classify(self, lams):
+        """Deviation ``| |lam - center| - ref |`` from the reference circle."""
         lams = np.atleast_1d(np.asarray(lams, dtype=np.complex128))
         r = np.abs(lams - self.center)
-        return (self.inner < r) & (r < self.outer)
-
-    def deviation(self, lams):
-        """``| |lam - center| - ref |``, the distance to the reference circle."""
-        lams = np.atleast_1d(np.asarray(lams, dtype=np.complex128))
-        return np.abs(np.abs(lams - self.center) - self.ref)
+        inside = (self.inner < r) & (r < self.outer)
+        return np.abs(r - self.ref), np.maximum(r - self.ref, 0.0), inside
 
 
 @dataclass(frozen=True)
-class SymbolBand:
+class SymbolBand(_Region):
     """Image of the thin annulus ``||z| - 1| < delta`` under the symbol map;
     membership is decided through preimage moduli."""
 
@@ -148,16 +155,16 @@ class SymbolBand:
         if not 0 < self.delta < 1:
             raise ShapeError("band half-width must lie in (0, 1)")
 
-    def contains(self, lam):
-        z = symbol_preimages(self.symbol, lam)
-        return bool(np.min(np.abs(np.abs(z) - 1.0)) < self.delta)
-
-    def contains_many(self, lams):
-        return self.deviation(lams) < self.delta
-
-    def deviation(self, lams):
+    def classify(self, lams):
+        """Measured at the preimage whose modulus is nearest 1: deviation
+        ``min_z ||z| - 1|`` and outward excess ``|z| - 1`` clipped at 0.
+        The preimages of all values come from one solve."""
         lams = np.atleast_1d(np.asarray(lams, dtype=np.complex128))
-        return band_deviations(self.symbol, lams)
+        mods = np.abs(symbol_preimages(self.symbol, lams))
+        nearest = np.argmin(np.abs(mods - 1.0), axis=1)
+        mod = np.take_along_axis(mods, nearest[:, None], axis=1)[:, 0]
+        dev = np.abs(mod - 1.0)
+        return dev, np.maximum(mod - 1.0, 0.0), dev < self.delta
 
 
 @dataclass(frozen=True)
@@ -194,11 +201,6 @@ class ExclusionSet:
         )
 
 
-def region_contains(region, lam):
-    """Strict membership of ``lam`` in any supported region."""
-    return region.contains(complex(lam))
-
-
 def critical_values(p: PolySymbol):
     """Images under p of the roots of p' (empty for a linear symbol)."""
     dc = p.derivative_coeffs()
@@ -209,33 +211,30 @@ def critical_values(p: PolySymbol):
     return p(roots)
 
 
-def symbol_preimages(p: PolySymbol, lam):
-    """All n roots of ``p(z) = lam``."""
-    shifted = p.coeffs.copy()
-    shifted[0] -= complex(lam)
-    monic_tail = shifted[:-1] / shifted[-1]
-    return poly_roots(MonicPolynomial(monic_tail)).eigenvalues
+def symbol_preimages(p: PolySymbol, lams):
+    """All n roots of ``p(z) = lam`` for each value, shape ``(m, n)``, or
+    ``(n,)`` for a scalar value.
 
-
-def band_deviations(p: PolySymbol, lams):
-    """``min_z | |z| - 1 |`` over preimages of each value, vectorized with
-    closed forms for symbol degrees 1 and 2."""
-    lams = np.asarray(lams, dtype=np.complex128).reshape(-1)
+    Degrees 1 and 2 use closed forms; higher degrees take the eigenvalues
+    of the stacked companion matrices in one batched LAPACK call.
+    """
+    lams = np.asarray(lams, dtype=np.complex128)
+    lam = lams.reshape(-1)
+    a = p.coeffs
     n = p.degree
     if n == 1:
-        z = (lams - p.coeffs[0]) / p.coeffs[1]
-        return np.abs(np.abs(z) - 1.0)
-    if n == 2:
-        a0, a1, a2 = p.coeffs
-        disc = np.sqrt(a1 * a1 - 4.0 * a2 * (a0 - lams) + 0j)
-        z1 = (-a1 + disc) / (2.0 * a2)
-        z2 = (-a1 - disc) / (2.0 * a2)
-        return np.minimum(np.abs(np.abs(z1) - 1.0), np.abs(np.abs(z2) - 1.0))
-    out = np.empty(lams.size)
-    for i, lam in enumerate(lams):
-        z = symbol_preimages(p, lam)
-        out[i] = np.min(np.abs(np.abs(z) - 1.0))
-    return out
+        z = ((lam - a[0]) / a[1])[:, None]
+    elif n == 2:
+        disc = np.sqrt(a[1] * a[1] - 4.0 * a[2] * (a[0] - lam) + 0j)
+        z = np.stack([(-a[1] + disc) / (2.0 * a[2]), (-a[1] - disc) / (2.0 * a[2])], axis=1)
+    else:
+        # companion of the descending coefficients (a_n, ..., a_1, a_0 - lam)
+        comp = np.zeros((lam.size, n, n), dtype=np.complex128)
+        comp[:, 0, :-1] = -a[-2:0:-1] / a[-1]
+        comp[:, 0, -1] = -(a[0] - lam) / a[-1]
+        comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        z = np.linalg.eigvals(comp)
+    return z[0] if lams.ndim == 0 else z
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,18 @@ import pytest
 from scipy import integrate, special
 
 import pseudoscope.experiments as exp
+import pseudoscope.geometry as geometry
 from pseudoscope import (
     ConfigError,
     ExperimentConfig,
     SeededRng,
     StructureSpec,
+    apply_perturbation,
     corner_annulus_probability,
+    rank1_perturbation,
     run_experiment,
     scaling_fit,
+    spectrum_match_distance,
     tail_carbery_wright,
     tail_hanson_wright,
     tail_norm_concentration,
@@ -115,6 +119,76 @@ def test_solver_structure_compatibility():
         run_experiment(_cfg("diagonal(2,3)", 10, 2, solver="jordan-poly"))
     with pytest.raises(ConfigError):
         run_experiment(_cfg("jordan-corner(1)", 10, 2, solver="resolvent-aberth"))
+
+
+CUBIC = "toeplitz(0,1,0.5,0.25)"
+
+
+def test_auto_solver_is_dense_for_cubic_symbol():
+    # the resolvent route returned spectra 0.03-0.14 away from dense QR on
+    # these trials, with residuals below 1e-12 and no error
+    cfg = _cfg(CUBIC, 100, 3, seed=11)
+    assert cfg.resolved_solver() == "dense-qr"
+    assert _cfg("toeplitz(3,2,1)", 100, 3).resolved_solver() == "resolvent-aberth"
+    report = run_experiment(cfg)
+    base = cfg.structure.base_matrix(100)
+    for rec in report.records:
+        pert = rank1_perturbation(100, 2.0, SeededRng(11, rec.index))
+        want = np.linalg.eigvals(apply_perturbation(base, pert))
+        assert spectrum_match_distance(rec.eigenvalues, want) <= 1e-8
+
+
+def _cubic_band_reference(lam):
+    """Deviation and outward excess of one value, from numpy.roots."""
+    desc = [0.25, 0.5, 1.0, -lam]
+    mods = np.abs(np.roots(desc))
+    mod = mods[np.argmin(np.abs(mods - 1.0))]
+    return abs(mod - 1.0), max(mod - 1.0, 0.0)
+
+
+def test_cubic_band_classification_matches_per_value_roots():
+    cfg = _cfg(CUBIC, 60, 6, seed=5)
+    report = run_experiment(cfg)
+    desc = [0.25, 0.5, 1.0, 0.0]
+    crit = np.polyval(desc, np.roots(np.polyder(desc)))
+    for rec in report.records:
+        ref = np.array([_cubic_band_reference(lam) for lam in rec.eigenvalues])
+        assert np.max(np.abs(rec.deviations - ref[:, 0])) <= 1e-10
+        assert rec.max_outward_deviation == pytest.approx(ref[:, 1].max(), abs=1e-10)
+        in_band = ref[:, 0] < report.delta
+        in_exclusion = np.min(np.abs(rec.eigenvalues[:, None] - crit), axis=1) < cfg.eps
+        assert rec.n_contained == np.count_nonzero(in_band | in_exclusion)
+        assert rec.n_exclusion_only == np.count_nonzero(in_exclusion & ~in_band)
+    # next to a critical value two preimages nearly coincide
+    band, _ = exp.build_region(cfg)
+    lams = crit + 1e-7
+    dev, outward, inside = band.classify(lams)
+    ref = np.array([_cubic_band_reference(lam) for lam in lams])
+    assert np.max(np.abs(dev - ref[:, 0])) <= 1e-10
+    assert np.max(np.abs(outward - ref[:, 1])) <= 1e-10
+    assert np.array_equal(inside, ref[:, 0] < band.delta)
+
+
+def test_band_preimages_solved_once_per_trial(monkeypatch):
+    calls = {"n": 0}
+    real = geometry.symbol_preimages
+
+    def counted(p, lams):
+        calls["n"] += 1
+        return real(p, lams)
+
+    monkeypatch.setattr(geometry, "symbol_preimages", counted)
+    cfg = _cfg(CUBIC, 40, 7)
+    one = run_experiment(cfg, threads=1)
+    assert calls["n"] == 7
+    two = run_experiment(cfg, threads=2)
+    for a, b in zip(one.records, two.records):
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.deviations, b.deviations)
+        assert (a.max_outward_deviation, a.n_contained, a.n_exclusion_only) == (
+            b.max_outward_deviation, b.n_contained, b.n_exclusion_only
+        )
+    assert one.pooled_eigenvalue_quantiles == two.pooled_eigenvalue_quantiles
 
 
 def test_scaling_fit_diagonal_slope():

@@ -14,7 +14,6 @@ from pseudoscope import (
     corner_eigenvalues,
     critical_values,
     dense_eigenvalues,
-    region_contains,
     root_separation_stats,
     separation_radius,
     spectrum_match_distance,
@@ -57,32 +56,32 @@ def test_disk_union_rejects_overlap():
 
 def test_disk_union_membership_strict():
     disks = DiskUnion([0.0, 2.0], 0.5)
-    assert region_contains(disks, 0.49)
-    assert not region_contains(disks, 0.5)  # boundary excluded
-    assert region_contains(disks, 2.3)
-    assert not region_contains(disks, 1.0)
+    assert disks.contains(0.49)
+    assert not disks.contains(0.5)  # boundary excluded
+    assert disks.contains(2.3)
+    assert not disks.contains(1.0)
 
 
 def test_annulus_membership():
     ann = Annulus.from_scale(0j, 1.0, 0.1)
-    assert region_contains(ann, 1.05)
-    assert not region_contains(ann, 1.2)
-    assert not region_contains(ann, 0.85)
-    assert region_contains(ann, 0.95j)
+    assert ann.contains(1.05)
+    assert not ann.contains(1.2)
+    assert not ann.contains(0.85)
+    assert ann.contains(0.95j)
 
 
 def test_annulus_inner_clamp():
     ann = Annulus.from_scale(0j, 1.0, 1.5)
     assert ann.inner == 0.0
     assert ann.ref == 1.0
-    assert region_contains(ann, 1e-6)
+    assert ann.contains(1e-6)
 
 
 def test_band_linear_symbol_circle():
     band = SymbolBand(PolySymbol([3, 2]), 0.1)
     for theta in np.linspace(0, 2 * np.pi, 17):
-        assert region_contains(band, 3 + 2 * np.exp(1j * theta))
-    assert not region_contains(band, 3 + 2.25)
+        assert band.contains(3 + 2 * np.exp(1j * theta))
+    assert not band.contains(3 + 2.25)
 
 
 def test_band_quadratic_example_outside():
@@ -92,7 +91,7 @@ def test_band_quadratic_example_outside():
     # oracle: quadratic formula preimages have moduli 1.3 and |a1/a2*...|
     z = symbol_preimages(p, lam)
     assert np.min(np.abs(np.abs(z) - 1.0)) > 0.05
-    assert not region_contains(band, lam)
+    assert not band.contains(lam)
 
 
 def test_band_reduces_to_annulus_for_identity_symbol():
@@ -123,10 +122,10 @@ def test_critical_values_pure_cube():
 
 def test_exclusion_set_membership():
     exc = ExclusionSet.from_symbol(PolySymbol([3, 2, 1]), 0.5)
-    assert region_contains(exc, 2.2)
-    assert not region_contains(exc, 2.6)
+    assert exc.contains(2.2)
+    assert not exc.contains(2.6)
     empty = ExclusionSet.from_symbol(PolySymbol([3, 2]), 0.5)
-    assert not region_contains(empty, 3.0)
+    assert not empty.contains(3.0)
 
 
 def test_symbol_preimages_identity():
@@ -155,6 +154,18 @@ def test_symbol_preimages_inverse_property():
         z = complex(rng.standard_normal(), rng.standard_normal())
         roots = symbol_preimages(p, p(z))
         assert np.min(np.abs(roots - z)) <= 1e-9 * (1 + abs(z))
+
+
+def test_symbol_preimages_batch_matches_scalar_calls():
+    rng = np.random.default_rng(17)
+    lams = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    for coeffs in ([3, 2], [3, 2, 1], [0, 1, 0.5, 0.25], [1, 0, 0, 1j, 0.3]):
+        p = PolySymbol(coeffs)
+        batch = symbol_preimages(p, lams)
+        assert batch.shape == (lams.size, p.degree)
+        for lam, row in zip(lams, batch):
+            assert np.array_equal(row, symbol_preimages(p, lam))
+            assert np.allclose(p(row), lam, atol=1e-12)
 
 
 def test_root_separation_at_critical_value():
