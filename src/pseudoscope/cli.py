@@ -184,7 +184,7 @@ def cmd_experiment(args):
     print(
         f"{report.structure} d={report.d} eps={report.eps} trials={report.trials}: "
         f"eigenvalue containment {report.eigenvalue_containment_fraction:.4f} "
-        f"at delta={report.delta}, outputs in {out}"
+        f"at delta={report.delta}, {report.wall_time_s:.2f}s, outputs in {out}"
     )
     return EXIT_OK
 
@@ -196,7 +196,9 @@ def cmd_scaling(args):
     if trials is None:
         trials = 200
     out = _outdir(args)
-    fit = scaling_fit(structure, dims, eps, trials, seed, threads=_threads(args))
+    fit = scaling_fit(
+        structure, dims, eps, trials, seed, threads=_threads(args), solver=solver
+    )
     rp.write_scaling_csv(os.path.join(out, "scaling.csv"), fit["per_dim"])
     rp.write_json(
         os.path.join(out, "scaling.json"),

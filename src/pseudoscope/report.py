@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import Annulus, DiskUnion, SymbolBand, symbol_image_curve
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 _CURVE_SAMPLES = 512
 
@@ -65,7 +65,6 @@ def report_to_json_dict(report):
         "exclusion_only_fraction": report.exclusion_only_fraction,
         "failed_trials": report.failed_trials,
         "eigenvalues_csv": "eigenvalues.csv",
-        "wall_time_s": report.wall_time_s,
     }
 
 

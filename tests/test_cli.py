@@ -36,7 +36,8 @@ def test_experiment_outputs(tmp_path):
         assert os.path.exists(os.path.join(out, name))
 
     report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
+    assert "wall_time_s" not in report
     assert report["config"]["structure"] == "jordan"
     assert report["config"]["d"] == 20
     assert 0.0 <= report["eigenvalue_containment_fraction"] <= 1.0
@@ -77,12 +78,14 @@ def test_scatter_svg_well_formed_with_counts(tmp_path):
 
 def test_threads_do_not_change_csv_bytes(tmp_path):
     cfg = _write(tmp_path, EXPERIMENT_CFG)
-    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    assert main(["experiment", "--config", cfg, "--out", out1, "--threads", "1"]) == 0
-    assert main(["experiment", "--config", cfg, "--out", out2, "--threads", "3"]) == 0
-    b1 = open(os.path.join(out1, "eigenvalues.csv"), "rb").read()
-    b2 = open(os.path.join(out2, "eigenvalues.csv"), "rb").read()
-    assert b1 == b2
+    names = ("eigenvalues.csv", "report.json", "scatter.svg", "run_manifest.json")
+    outputs = []
+    for threads in ("1", "2", "3"):
+        out = str(tmp_path / f"t{threads}")
+        assert main(["experiment", "--config", cfg, "--out", out, "--threads", threads]) == 0
+        outputs.append({n: open(os.path.join(out, n), "rb").read() for n in names})
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
 
 
 def test_seed_override_changes_results(tmp_path):
@@ -132,6 +135,16 @@ def test_scaling_command(tmp_path):
     assert rows[0].split(",")[:2] == ["d", "median_deviation"]
     assert len(rows) == 4
     assert verify_manifest(out)
+
+
+def test_scaling_uses_config_solver(tmp_path, capsys):
+    text = (
+        "[experiment]\nstructure = diagonal(2,3)\neps = 2.0\n"
+        "dims = 16,32,64\ntrials = 5\nseed = 5\nsolver = jordan-poly\n"
+    )
+    cfg = _write(tmp_path, text)
+    assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "jordan-poly" in capsys.readouterr().err
 
 
 def test_scaling_rejects_empty_and_single_dims(tmp_path):

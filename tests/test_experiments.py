@@ -129,13 +129,43 @@ def test_auto_solver_is_dense_for_cubic_symbol():
     # these trials, with residuals below 1e-12 and no error
     cfg = _cfg(CUBIC, 100, 3, seed=11)
     assert cfg.resolved_solver() == "dense-qr"
-    assert _cfg("toeplitz(3,2,1)", 100, 3).resolved_solver() == "resolvent-aberth"
-    report = run_experiment(cfg)
-    base = cfg.structure.base_matrix(100)
+    explicit = _cfg("toeplitz(3,2,1)", 100, 3, solver="resolvent-aberth")
+    assert explicit.resolved_solver() == "resolvent-aberth"
+    _assert_matches_dense(cfg, run_experiment(cfg))
+
+
+def _assert_matches_dense(cfg, report):
+    base = cfg.structure.base_matrix(cfg.d)
     for rec in report.records:
-        pert = rank1_perturbation(100, 2.0, SeededRng(11, rec.index))
+        pert = rank1_perturbation(cfg.d, cfg.eps, SeededRng(cfg.seed, rec.index))
         want = np.linalg.eigvals(apply_perturbation(base, pert))
         assert spectrum_match_distance(rec.eigenvalues, want) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "structure, route",
+    [
+        ("zero", "resolvent-aberth"),
+        ("scalar(1+2j)", "resolvent-aberth"),
+        ("diagonal(2,3)", "resolvent-aberth"),
+        ("jordan", "jordan-poly"),
+        ("jordan-corner(0.5)", "dense-qr"),
+        ("toeplitz(3,2)", "dense-qr"),
+        ("toeplitz(3,2,1)", "dense-qr"),
+        (CUBIC, "dense-qr"),
+    ],
+)
+def test_auto_solver_policy(structure, route):
+    cfg = _cfg(structure, 8, 2)
+    assert cfg.resolved_solver() == route
+    assert run_experiment(cfg).solver == route
+
+
+def test_auto_solver_toeplitz_correct_at_d160():
+    # resolvent-aberth returned these spectra up to 0.093 away from dense
+    # QR, with a small residual and no error
+    cfg = _cfg("toeplitz(3,2,1)", 160, 4, seed=11)
+    _assert_matches_dense(cfg, run_experiment(cfg))
 
 
 def _cubic_band_reference(lam):
