@@ -6,7 +6,6 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     ExperimentError,
-    NearSingularShift,
     ShapeError,
 )
 from .linalg import (
@@ -18,14 +17,12 @@ from .linalg import (
     quadratic_form,
     spectral_norm,
     toeplitz_from_symbol,
-    triangular_resolvent_solve,
     two_block_corner,
 )
 from .sampling import (
     RankOnePerturbation,
     SeededRng,
     apply_perturbation,
-    full_rank_perturbation,
     rank1_perturbation,
     sample_complex_normal,
 )

@@ -16,27 +16,24 @@ import numpy as np
 
 from .errors import ConfigError, ExperimentError, ShapeError
 from .experiments import (
+    AUTO_SOLVER,
     ExperimentConfig,
     StructureSpec,
     build_region,
+    check_route,
     corner_annulus_probability,
     default_trials,
     run_experiment,
     scaling_fit,
+    solve,
     tail_carbery_wright,
     tail_hanson_wright,
     tail_norm_concentration,
     tail_quadratic_form_diag,
 )
 from . import report as rp
-from .sampling import SeededRng, rank1_perturbation, apply_perturbation
-from .spectra import (
-    charpoly_jordan_rank1,
-    dense_eigenvalues,
-    eigen_resolvent_aberth,
-    poly_roots,
-    spectrum_match_distance,
-)
+from .sampling import SeededRng, rank1_perturbation
+from .spectra import SOLVER_DENSE, spectrum_match_distance
 
 EXIT_OK = 0
 EXIT_ORACLE = 1
@@ -47,6 +44,10 @@ THREADS_ENV = "PSEUDOSCOPE_THREADS"
 CORRUPT_ENV = "PSEUDOSCOPE_ORACLE_CORRUPT"
 
 TAIL_KINDS = ("norm", "hw", "cw", "qf-diag", "corner")
+
+# oracle-check covers every structure whose auto route is not dense QR.
+ORACLE_STRUCTURES = ("zero", "scalar(1+2j)", "diagonal(2,3)", "diagonal(1,2,3j)", "jordan")
+ORACLE_D_MAX = 512
 
 
 def _read_config(path):
@@ -142,7 +143,7 @@ def _outdir(args):
     return args.out
 
 
-def _experiment_config(args, need_dims=False, defaults=True):
+def _experiment_config(args, need_dims=False):
     values, lines = _read_config(args.config)
     structure = _take(values, lines, "structure", StructureSpec.parse, required=True)
     d = _take(values, lines, "d", int, required=not need_dims, default=0)
@@ -151,15 +152,20 @@ def _experiment_config(args, need_dims=False, defaults=True):
     if args.seed is not None:
         seed = args.seed
     trials = _take(values, lines, "trials", int)
-    solver = _take(values, lines, "solver", str, default="auto")
+    solver = _take(
+        values, lines, "solver", lambda s: check_route(s, structure.kind), default="auto"
+    )
+    if need_dims and "region" in values:
+        # the fit reads each trial's maximum deviation, which no half-width changes
+        raise ConfigError("scaling takes no region key", line=lines["region"])
     region = _take(values, lines, "region", _region_value, default="auto")
     dims = _take(values, lines, "dims", _int_list, default=None)
     _check_leftover(values, lines)
     if need_dims:
         if not dims:
             raise ConfigError("scaling needs a dims key with at least 3 entries")
-        return structure, dims, eps, trials, seed, solver, region
-    if trials is None and defaults:
+        return structure, dims, eps, trials, seed, solver
+    if trials is None:
         trials = default_trials(d)
     return ExperimentConfig(
         structure=structure, d=d, eps=eps, trials=trials, seed=seed,
@@ -190,7 +196,7 @@ def cmd_experiment(args):
 
 
 def cmd_scaling(args):
-    structure, dims, eps, trials, seed, solver, region = _experiment_config(
+    structure, dims, eps, trials, seed, solver = _experiment_config(
         args, need_dims=True
     )
     if trials is None:
@@ -292,31 +298,20 @@ def cmd_tails(args):
 
 
 def cmd_oracle_check(args):
-    if args.d_max > 100:
-        raise ConfigError("d-max must be at most 100")
+    if not 5 <= args.d_max <= ORACLE_D_MAX:
+        raise ConfigError(f"d-max must be between 5 and {ORACLE_D_MAX}")
     corrupt = os.environ.get(CORRUPT_ENV, "") not in ("", "0")
     rng = np.random.default_rng(12345)
-    specs = [
-        StructureSpec.parse("jordan"),
-        StructureSpec.parse("diagonal(2,3)"),
-        StructureSpec.parse("toeplitz(3,2,1)"),
-    ]
-    worst = {}
     failed = False
-    for spec in specs:
+    for spec in map(StructureSpec.parse, ORACLE_STRUCTURES):
+        route = AUTO_SOLVER[spec.kind]
         dist_max = 0.0
         for trial in range(args.trials):
-            lo = 5 if spec.kind != "toeplitz" else max(5, len(spec.coeffs))
-            d = int(rng.integers(lo, args.d_max + 1))
-            srng = SeededRng(777, trial)
-            pert = rank1_perturbation(d, 2.0, srng)
+            d = int(rng.integers(5, args.d_max + 1))
+            pert = rank1_perturbation(d, 2.0, SeededRng(777, trial))
             base = spec.base_matrix(d)
-            if spec.kind == "jordan":
-                fast = poly_roots(charpoly_jordan_rank1(pert))
-            else:
-                fast = eigen_resolvent_aberth(base, pert)
-            dense = dense_eigenvalues(apply_perturbation(base, pert))
-            lams = fast.eigenvalues
+            lams = solve(base, pert, route).eigenvalues
+            dense = solve(base, pert, SOLVER_DENSE)
             if corrupt:
                 lams = lams.copy()
                 lams[0] += 1e-5
@@ -325,8 +320,7 @@ def cmd_oracle_check(args):
             if dist > 1e-8 * scale:
                 failed = True
             dist_max = max(dist_max, dist)
-        worst[spec.label()] = dist_max
-        print(f"oracle-check {spec.label()}: max matched distance {dist_max:.3e}")
+        print(f"oracle-check {spec.label()} ({route}): max matched distance {dist_max:.3e}")
     return EXIT_ORACLE if failed else EXIT_OK
 
 
@@ -360,7 +354,8 @@ def build_parser():
 
     p = sub.add_parser("oracle-check", help="cross-validate fast solvers against dense QR")
     common(p, config=False)
-    p.add_argument("--d-max", type=int, default=50)
+    p.add_argument("--d-max", type=int, default=50,
+                   help=f"largest dimension drawn, 5 to {ORACLE_D_MAX}")
     p.add_argument("--trials", type=int, default=20, help="trials per structure")
     p.set_defaults(func=cmd_oracle_check)
     return parser

@@ -5,10 +5,6 @@ class ShapeError(ValueError):
     """Dimension or structural mismatch in an input."""
 
 
-class NearSingularShift(ArithmeticError):
-    """Triangular solve requested at a shift too close to a diagonal entry."""
-
-
 class ConvergenceError(RuntimeError):
     """An iterative solver failed to converge.
 

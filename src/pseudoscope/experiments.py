@@ -45,6 +45,8 @@ __all__ = [
     "TrialRecord",
     "ConcentrationReport",
     "build_region",
+    "check_route",
+    "solve",
     "run_experiment",
     "scaling_fit",
     "tail_norm_concentration",
@@ -55,6 +57,13 @@ __all__ = [
 ]
 
 STRUCTURE_KINDS = ("zero", "scalar", "diagonal", "jordan", "jordan-corner", "toeplitz")
+
+# The structure kinds each solver route accepts.
+ROUTES = {
+    SOLVER_JORDAN_POLY: ("jordan",),
+    SOLVER_RESOLVENT: ("zero", "scalar", "diagonal"),
+    SOLVER_DENSE: STRUCTURE_KINDS,
+}
 
 # Route for ``solver = auto`` by structure kind.  Diagonal bases stay on
 # the resolvent route, whose deflation makes the solve about 1 ms at d=512.
@@ -68,6 +77,36 @@ AUTO_SOLVER = {
 }
 
 _FAILURE_CAP = 0.01
+
+
+def check_route(solver, kind):
+    """``solver`` itself if it is ``auto`` or a route that accepts the
+    structure kind in :data:`ROUTES`; a :class:`ConfigError` otherwise."""
+    if solver == "auto":
+        return solver
+    if solver not in ROUTES:
+        raise ConfigError(
+            f"unknown solver {solver!r}; expected auto, " + ", ".join(ROUTES)
+        )
+    if kind not in ROUTES[solver]:
+        raise ConfigError(f"the {solver} solver does not apply to the {kind} structure")
+    return solver
+
+
+def solve(base, pert, route):
+    """Spectrum of ``base`` plus the rank-1 perturbation ``pert`` by one
+    solver route.
+
+    The route functions are looked up in this module at call time, so a
+    patch of ``pseudoscope.experiments.<name>`` reaches every solve.
+    """
+    if route == SOLVER_JORDAN_POLY:
+        return poly_roots(charpoly_jordan_rank1(pert))
+    if route == SOLVER_RESOLVENT:
+        return eigen_resolvent_aberth(base, pert)
+    if route == SOLVER_DENSE:
+        return dense_eigenvalues(apply_perturbation(base, pert))
+    raise ConfigError(f"unknown solver route {route!r}")
 
 
 def _parse_complex(text):
@@ -208,13 +247,10 @@ class ExperimentConfig:
             raise ConfigError("trials must be positive")
         if self.structure.kind == "toeplitz" and len(self.structure.coeffs) - 1 > self.d - 1:
             raise ConfigError("symbol degree must be below the dimension")
+        check_route(self.solver, self.structure.kind)
 
     def resolved_solver(self):
-        """The route for ``solver = auto``, from :data:`AUTO_SOLVER`.
-
-        Toeplitz goes to dense QR: 9.9 against 172 ms per trial at d=100,
-        and correct where the resolvent route is silently wrong (d >= 128).
-        """
+        """The route for ``solver = auto``, from :data:`AUTO_SOLVER`."""
         if self.solver != "auto":
             return self.solver
         return AUTO_SOLVER[self.structure.kind]
@@ -295,21 +331,12 @@ def run_experiment(cfg: ExperimentConfig, threads=1) -> ConcentrationReport:
     structure = cfg.structure
     region, exclusion = build_region(cfg)
     base = structure.base_matrix(cfg.d)
-    if solver == SOLVER_JORDAN_POLY and structure.kind != "jordan":
-        raise ConfigError("the jordan-poly solver applies only to the jordan structure")
-    if solver == SOLVER_RESOLVENT and structure.kind == "jordan-corner":
-        raise ConfigError("the corner structure is not upper triangular; use dense-qr")
 
     def one_trial(i):
         rng = SeededRng(cfg.seed, i)
         pert = rank1_perturbation(cfg.d, cfg.eps, rng)
         try:
-            if solver == SOLVER_JORDAN_POLY:
-                spectrum = poly_roots(charpoly_jordan_rank1(pert))
-            elif solver == SOLVER_RESOLVENT:
-                spectrum = eigen_resolvent_aberth(base, pert)
-            else:
-                spectrum = dense_eigenvalues(apply_perturbation(base, pert))
+            spectrum = solve(base, pert, solver)
         except ConvergenceError:
             return TrialRecord(
                 index=i,

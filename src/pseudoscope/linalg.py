@@ -6,7 +6,7 @@ Conventions used throughout the package:
 * ``vdot``-style quadratic forms conjugate the *left* vector,
 * upper-triangular matrices are stored as packed diagonals (offset ->
   length ``d - offset`` array), which keeps banded Toeplitz matrices at
-  O(n d) storage and makes back-substitution cache friendly.
+  O(n d) storage.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NearSingularShift, ShapeError
+from .errors import ShapeError
 
 __all__ = [
     "PolySymbol",
@@ -29,11 +29,7 @@ __all__ = [
     "spectral_norm",
     "quadratic_form",
     "jordan_quadratic_forms",
-    "triangular_resolvent_solve",
 ]
-
-# Relative guard below which a shift counts as sitting on a diagonal entry.
-SHIFT_GUARD = 1e-14
 
 
 def as_complex_vector(x, dim=None, name="vector"):
@@ -132,10 +128,6 @@ class UpperTriangularMatrix:
     def from_diagonal(cls, entries):
         e = as_complex_vector(entries, name="diagonal entries")
         return cls(e.size, {0: e})
-
-    @property
-    def offsets(self):
-        return sorted(self._diags)
 
     def diagonal(self, k=0):
         arr = self._diags.get(k)
@@ -243,36 +235,3 @@ def jordan_quadratic_forms(u, v):
     v = as_complex_vector(v, dim=u.size, name="v")
     d = u.size
     return np.array([np.vdot(v[: d - k], u[k:]) for k in range(d)])
-
-
-def triangular_resolvent_solve(t, lam, b):
-    """Solve ``(lam I - T) x = b`` for upper-triangular ``T`` by
-    back-substitution.
-
-    Raises
-    ------
-    NearSingularShift
-        If ``lam`` is within ``1e-14 * max(1, max |t_ii|)`` of any diagonal
-        entry of ``T``.
-    """
-    if not isinstance(t, UpperTriangularMatrix):
-        t = UpperTriangularMatrix.from_dense(t)
-    lam = complex(lam)
-    b = as_complex_vector(b, dim=t.dim, name="b")
-    d = t.dim
-    diag = t.diagonal()
-    guard = SHIFT_GUARD * max(1.0, float(np.max(np.abs(diag))))
-    if np.min(np.abs(lam - diag)) < guard:
-        raise NearSingularShift(
-            f"shift {lam} within guard {guard:.3e} of a diagonal entry"
-        )
-    bands = [(k, arr) for k, arr in ((k, t.diagonal(k)) for k in t.offsets) if k > 0]
-    x = np.zeros(d, dtype=np.complex128)
-    denom = lam - diag
-    for i in range(d - 1, -1, -1):
-        acc = b[i]
-        for k, arr in bands:
-            if i + k < d:
-                acc += arr[i] * x[i + k]
-        x[i] = acc / denom[i]
-    return x

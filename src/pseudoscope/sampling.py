@@ -1,5 +1,5 @@
 """Reproducible generation of complex normal vectors and normalized
-rank-1 / full-rank perturbations.
+rank-1 perturbations.
 
 Reproducibility contract: a stream is keyed by the 128-bit pair
 ``(seed, stream)`` fed to a counter-based Philox generator, so trial ``i``
@@ -16,14 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import UpperTriangularMatrix, as_complex_vector, spectral_norm
+from .linalg import UpperTriangularMatrix, as_complex_vector
 
 __all__ = [
     "SeededRng",
     "RankOnePerturbation",
     "sample_complex_normal",
     "rank1_perturbation",
-    "full_rank_perturbation",
     "apply_perturbation",
 ]
 
@@ -121,20 +120,6 @@ def rank1_perturbation(d, eps, rng):
         if np.linalg.norm(u) == 0.0 or np.linalg.norm(v) == 0.0:
             raise ShapeError("drew a zero-norm vector twice in a row")
     return RankOnePerturbation(u, v, float(eps))
-
-
-def full_rank_perturbation(d, eps, rng):
-    """Dense i.i.d. CN(0,1) matrix rescaled to spectral norm ``eps``."""
-    if eps <= 0:
-        raise ShapeError("eps must be positive")
-    if d < 1:
-        raise ShapeError("dimension must be positive")
-    e = rng.complex_normals(d * d).reshape(d, d)
-    norm = spectral_norm(e)
-    if norm == 0.0:
-        e = rng.complex_normals(d * d).reshape(d, d)
-        norm = spectral_norm(e)
-    return (eps / norm) * e
 
 
 def apply_perturbation(t, p):

@@ -4,12 +4,15 @@ Three routes:
 
 * ``jordan-poly``: expand the closed-form characteristic polynomial of a
   rank-1 perturbed nilpotent block and run simultaneous root iteration,
-* ``resolvent-aberth``: simultaneous iteration on the determinant-lemma
-  factorization ``det(lam I - T) * (1 - eps v^dag (lam I - T)^{-1} u /
-  (|u| |v|))``, evaluated implicitly through triangular solves so the
-  characteristic polynomial is never expanded,
-* ``dense-qr``: LAPACK's Hessenberg-QR eigensolver as the cross-validation
-  oracle.
+* ``resolvent-aberth``: for a diagonal base, deflate repeated diagonal
+  values and run simultaneous iteration on the secular factor of the
+  determinant-lemma factorization ``det(lam I - D) * (1 - eps v^dag
+  (lam I - D)^{-1} u / (|u| |v|))``, one pole per distinct value,
+* ``dense-qr``: LAPACK's Hessenberg-QR eigensolver, the route for every
+  other base and the cross-validation oracle.
+
+``pseudoscope.experiments`` maps each structure kind to the routes that
+accept it and dispatches through ``solve``.
 """
 
 from __future__ import annotations
@@ -194,12 +197,6 @@ def poly_roots(p: MonicPolynomial, solver=SOLVER_JORDAN_POLY, max_sweeps=500) ->
     return Spectrum(roots, solver, _poly_residual(p, roots))
 
 
-def _group_diagonal(diag):
-    """Distinct diagonal values with multiplicities and member indices."""
-    values, inverse, counts = np.unique(diag, return_inverse=True, return_counts=True)
-    return values, inverse, counts
-
-
 def _aberth_step(gl):
     """Step and escape mask from the repulsion-corrected log-derivative.
 
@@ -233,7 +230,7 @@ def _secular_diagonal(diag, p: RankOnePerturbation, tol, max_sweeps):
     ``w_c = sum conj(v_k) u_k``.  Only the moved roots are iterated.
     """
     s = p.scale
-    values, inverse, counts = _group_diagonal(diag)
+    values, inverse, counts = np.unique(diag, return_inverse=True, return_counts=True)
     m = values.size
     weights = np.zeros(m, dtype=np.complex128)
     np.add.at(weights, inverse, np.conj(p.v) * p.u)
@@ -294,136 +291,17 @@ def _secular_diagonal(diag, p: RankOnePerturbation, tol, max_sweeps):
     return roots, residual
 
 
-_RESCALE_LIMIT = 2.0**400
-
-
-def _resolvent_forms(t: UpperTriangularMatrix, lams, u, v_conj, s):
-    """Batched evaluation of the logarithmic-derivative ratio f'/f at the
-    shifts ``lams``.
-
-    ``f(lam) = 1 - s v^dag x`` with ``x = (lam I - T)^{-1} u`` and
-    ``f'(lam) = s v^dag y`` with ``y = (lam I - T)^{-1} x``; both solves are
-    fused in one bottom-up band recurrence vectorized across the batch.
-
-    Deep inside the spectral curve the solution components grow like
-    ``(band scale / |lam - a_0|)^d`` and overflow doubles for large d, so
-    each column carries an integer scaling exponent: the (x, y) pair is
-    jointly linear, a common renormalization preserves both recurrences,
-    and the final ratio ``s*SY / (2^-e - s*SX)`` never forms ``2^e``.
-    Contributions of the right-hand side after a renormalization are below
-    one ulp of the accumulated solution and drop out with it.
-    """
-    d = t.dim
-    b = lams.size
-    diag = t.diagonal()
-    bands = [(k, t.diagonal(k)) for k in t.offsets if k > 0]
-    kmax = max((k for k, _ in bands), default=0)
-    xwin = [np.zeros(b, dtype=np.complex128) for _ in range(kmax)]
-    ywin = [np.zeros(b, dtype=np.complex128) for _ in range(kmax)]
-    sx = np.zeros(b, dtype=np.complex128)
-    sy = np.zeros(b, dtype=np.complex128)
-    exp = np.zeros(b, dtype=np.int64)
-    tau = np.ones(b)
-    with np.errstate(all="ignore"):
-        for i in range(d - 1, -1, -1):
-            denom = lams - diag[i]
-            accx = tau * u[i]
-            accy = np.zeros(b, dtype=np.complex128)
-            for k, arr in bands:
-                if i + k < d:
-                    accx = accx + arr[i] * xwin[k - 1]
-                    accy = accy + arr[i] * ywin[k - 1]
-            xi = accx / denom
-            yi = (accy + xi) / denom
-            sx += v_conj[i] * xi
-            sy += v_conj[i] * yi
-            grown = np.maximum(np.abs(xi), np.abs(yi)) > _RESCALE_LIMIT
-            if np.any(grown):
-                factor = np.where(grown, 2.0**-400, 1.0)
-                xi = xi * factor
-                yi = yi * factor
-                sx = sx * factor
-                sy = sy * factor
-                for j in range(kmax):
-                    xwin[j] = xwin[j] * factor
-                    ywin[j] = ywin[j] * factor
-                exp = exp + np.where(grown, 400, 0)
-                tau = np.ldexp(1.0, -exp)
-            if kmax:
-                xwin.insert(0, xi)
-                xwin.pop()
-                ywin.insert(0, yi)
-                ywin.pop()
-        f_scaled = np.ldexp(1.0, -exp) - s * sx
-        ratio = s * sy / f_scaled
-    return ratio
-
-
-def _secular_triangular(t: UpperTriangularMatrix, p: RankOnePerturbation, tol, max_sweeps):
-    """Spectrum of ``T + rank1`` for upper-triangular T via implicit
-    iteration on the factored characteristic function."""
-    d = t.dim
-    s = p.scale
-    diag = t.diagonal()
-    values, _, counts = _group_diagonal(diag)
-    guard = _DIAG_GUARD * max(1.0, float(np.max(np.abs(values))))
-    center, z = _init_circle(diag, p.eps, d)
-    conv = np.zeros(d, dtype=bool)
-    last_step = np.zeros(d)
-    v_conj = np.conj(p.v)
-
-    for phase_sweeps, repulse in ((max_sweeps, True), (max_sweeps, False)):
-        for _ in range(phase_sweeps):
-            act = np.flatnonzero(~conv)
-            if act.size == 0:
-                break
-            za = z[act]
-            hit = np.min(np.abs(za[:, None] - values[None, :]), axis=1) < guard
-            if np.any(hit):
-                za[hit] += 8.0 * guard * np.exp(1j * _ANGLE_OFFSET)
-            ratio = _resolvent_forms(t, za, p.u, v_conj, s)
-            with np.errstate(all="ignore"):
-                det_part = np.sum(
-                    counts[None, :] / (za[:, None] - values[None, :]), axis=1
-                )
-                gl = det_part + ratio
-                if repulse:
-                    diff = za[:, None] - z[None, :]
-                    diff[np.arange(act.size), act] = np.inf
-                    gl = gl - np.sum(1.0 / diff, axis=1)
-                w, bad = _aberth_step(gl)
-            znew = za - w
-            # undefined step: double the distance from the diagonal center
-            bad |= ~np.isfinite(znew)
-            znew[bad] = center + 2.0 * (za[bad] - center) + guard
-            z[act] = znew
-            step = np.abs(w)
-            last_step[act] = np.where(bad, 0.0, step)
-            conv[act] |= (step <= tol * (1.0 + np.abs(znew))) & ~bad
-        if conv.all():
-            break
-    if not conv.all():
-        raise ConvergenceError(
-            f"{int((~conv).sum())} of {d} roots did not converge",
-            converged=conv,
-            roots=z,
-        )
-    residual = float(np.max(last_step / (1.0 + np.abs(z))))
-    return z, residual
-
-
 def eigen_resolvent_aberth(t, p: RankOnePerturbation, tol=1e-12, max_sweeps=60) -> Spectrum:
-    """All eigenvalues of ``T + eps u v^dag / (|u| |v|)`` for diagonal or
-    upper-triangular Toeplitz ``T``, found as roots of the factored
-    characteristic function.
+    """All eigenvalues of ``D + eps u v^dag / (|u| |v|)`` for a diagonal
+    ``D``, found as roots of the deflated secular equation.
 
-    The iteration uses the logarithmic derivative ``g'/g(lam) =
-    sum_i 1/(lam - t_ii) + f'(lam)/f(lam)`` where f comes from one and f'
-    from a second stacked triangular solve per point; the characteristic
-    polynomial is never expanded.  Diagonal inputs are deflated first:
-    repeated eigenvalues keep all but one exact copy and only the moved
-    roots are iterated.  Per-root convergence is a relative update below
-    ``tol`` within ``max_sweeps`` sweeps; stragglers get a Newton polish.
+    Repeated eigenvalues keep all but one exact copy and only the moved
+    roots are iterated, on the logarithmic derivative ``g'/g(lam) =
+    sum_c 1/(lam - gamma_c) + f'(lam)/f(lam)`` of the factored
+    characteristic function.  Per-root convergence is a relative update
+    below ``tol`` within ``max_sweeps`` sweeps per phase.  A base with
+    nonzero superdiagonals raises :class:`ShapeError`; its spectrum is the
+    ``dense-qr`` route's.
     """
     if isinstance(t, UpperTriangularMatrix):
         ut = t
@@ -435,10 +313,9 @@ def eigen_resolvent_aberth(t, p: RankOnePerturbation, tol=1e-12, max_sweeps=60) 
             ut = UpperTriangularMatrix.from_dense(arr)
     if ut.dim != p.dim:
         raise ShapeError(f"matrix dim {ut.dim} does not match perturbation dim {p.dim}")
-    if ut.is_diagonal:
-        roots, residual = _secular_diagonal(ut.diagonal(), p, tol, max_sweeps)
-    else:
-        roots, residual = _secular_triangular(ut, p, tol, max_sweeps)
+    if not ut.is_diagonal:
+        raise ShapeError("resolvent-aberth needs a diagonal base; use dense-qr")
+    roots, residual = _secular_diagonal(ut.diagonal(), p, tol, max_sweeps)
     return Spectrum(roots, SOLVER_RESOLVENT, residual)
 
 

@@ -114,6 +114,20 @@ def test_bad_structure_reports_its_line(tmp_path, capsys):
     assert "line 4" in err or "banana" in err
 
 
+@pytest.mark.parametrize(
+    "structure, solver",
+    [("jordan", "bogus"), ("jordan", "resolvent-aberth"),
+     ("toeplitz(3,2,1)", "resolvent-aberth")],
+)
+def test_solver_outside_route_table_exit_2_with_line(tmp_path, capsys, structure, solver):
+    text = f"[experiment]\nstructure = {structure}\nd = 20\neps = 2.0\nsolver = {solver}\n"
+    out = tmp_path / "o"
+    assert main(["experiment", "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "line 5" in err and solver in err
+    assert not (out / "report.json").exists()
+
+
 def test_missing_section_rejected(tmp_path):
     cfg = _write(tmp_path, "structure = jordan\n")
     assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -145,6 +159,17 @@ def test_scaling_uses_config_solver(tmp_path, capsys):
     cfg = _write(tmp_path, text)
     assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "jordan-poly" in capsys.readouterr().err
+
+
+def test_scaling_rejects_region_key(tmp_path, capsys):
+    text = (
+        "[experiment]\nstructure = jordan\neps = 2.0\nregion = 0.1\n"
+        "dims = 16,32,64\ntrials = 5\n"
+    )
+    cfg = _write(tmp_path, text)
+    assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "line 4" in err and "region" in err
 
 
 def test_scaling_rejects_empty_and_single_dims(tmp_path):
@@ -183,10 +208,19 @@ def test_tails_unknown_which(tmp_path):
     assert main(["tails", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
-def test_oracle_check_passes_and_corrupt_hook_fails(tmp_path, monkeypatch):
+def test_oracle_check_passes_and_corrupt_hook_fails(tmp_path, monkeypatch, capsys):
     assert main(["oracle-check", "--d-max", "20", "--trials", "4"]) == 0
+    out = capsys.readouterr().out
+    for label in ("zero", "scalar(1+2j)", "diagonal(2,3)", "diagonal(1,2,3j)", "jordan"):
+        assert f"oracle-check {label} " in out
+    assert "toeplitz" not in out and "dense-qr" not in out
     monkeypatch.setenv("PSEUDOSCOPE_ORACLE_CORRUPT", "1")
     assert main(["oracle-check", "--d-max", "20", "--trials", "4"]) == 1
+
+
+def test_oracle_check_d_max_cap(capsys):
+    assert main(["oracle-check", "--d-max", "513", "--trials", "1"]) == 2
+    assert "512" in capsys.readouterr().err
 
 
 def test_threads_env_fallback(tmp_path, monkeypatch):

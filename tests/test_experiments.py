@@ -117,20 +117,21 @@ def test_failure_cap_aborts_run(monkeypatch):
 def test_solver_structure_compatibility():
     with pytest.raises(ConfigError):
         run_experiment(_cfg("diagonal(2,3)", 10, 2, solver="jordan-poly"))
-    with pytest.raises(ConfigError):
-        run_experiment(_cfg("jordan-corner(1)", 10, 2, solver="resolvent-aberth"))
+    for structure in ("jordan", "toeplitz(3,2,1)", "jordan-corner(1)"):
+        with pytest.raises(ConfigError, match="resolvent-aberth"):
+            run_experiment(_cfg(structure, 10, 2, solver="resolvent-aberth"))
+    with pytest.raises(ConfigError, match="unknown solver 'bogus'"):
+        run_experiment(_cfg("jordan", 10, 2, solver="bogus"))
 
 
 CUBIC = "toeplitz(0,1,0.5,0.25)"
 
 
 def test_auto_solver_is_dense_for_cubic_symbol():
-    # the resolvent route returned spectra 0.03-0.14 away from dense QR on
-    # these trials, with residuals below 1e-12 and no error
     cfg = _cfg(CUBIC, 100, 3, seed=11)
     assert cfg.resolved_solver() == "dense-qr"
-    explicit = _cfg("toeplitz(3,2,1)", 100, 3, solver="resolvent-aberth")
-    assert explicit.resolved_solver() == "resolvent-aberth"
+    with pytest.raises(ConfigError):
+        _cfg("toeplitz(3,2,1)", 100, 3, solver="resolvent-aberth")
     _assert_matches_dense(cfg, run_experiment(cfg))
 
 
@@ -158,6 +159,7 @@ def _assert_matches_dense(cfg, report):
 def test_auto_solver_policy(structure, route):
     cfg = _cfg(structure, 8, 2)
     assert cfg.resolved_solver() == route
+    assert cfg.structure.kind in exp.ROUTES[route]
     assert run_experiment(cfg).solver == route
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pseudoscope import (
-    NearSingularShift,
     PolySymbol,
     SeededRng,
     ShapeError,
@@ -14,7 +13,6 @@ from pseudoscope import (
     rank1_perturbation,
     spectral_norm,
     toeplitz_from_symbol,
-    triangular_resolvent_solve,
     two_block_corner,
 )
 
@@ -188,60 +186,6 @@ def test_jordan_quadratic_forms_match_dense_powers():
     for k in range(d):
         assert q[k] == pytest.approx(quadratic_form(v, jk, u), abs=1e-12)
         jk = jk @ j
-
-
-def test_resolvent_zero_matrix():
-    t = UpperTriangularMatrix.from_diagonal(np.zeros(4, dtype=complex))
-    x = triangular_resolvent_solve(t, 2.0, cvec(1, 0, 0, 0))
-    assert np.allclose(x, cvec(0.5, 0, 0, 0))
-
-
-def test_resolvent_hand_solved_2x2():
-    # (I - J) x = (0, 1): back row x2 = 1, then x1 = (0 + x2)/1 = 1
-    x = triangular_resolvent_solve(jordan_nilpotent(2), 1.0, cvec(0, 1))
-    assert np.allclose(x, cvec(1, 1))
-
-
-def test_resolvent_matches_truncated_series():
-    # oracle: nilpotent expansion x = sum_m (T - a0 I)^m b / (lam - a0)^{m+1}
-    rng = SeededRng(21, 0)
-    d = 8
-    p = PolySymbol([3, 2, 1])
-    t = toeplitz_from_symbol(p, d)
-    b = rng.complex_normals(d)
-    lam = 5.5 + 0.5j
-    x = triangular_resolvent_solve(t, lam, b)
-    n = t.to_dense() - 3 * np.eye(d)
-    acc = np.zeros(d, dtype=complex)
-    term = b.copy()
-    for m in range(d):
-        acc += term / (lam - 3) ** (m + 1)
-        term = n @ term
-    assert np.allclose(x, acc, atol=1e-10)
-
-
-def test_resolvent_residual_on_random_instances():
-    rng = np.random.default_rng(2024)
-    for trial in range(1000):
-        d = int(rng.integers(2, 12))
-        dense = np.triu(
-            (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-        )
-        t = UpperTriangularMatrix.from_dense(dense)
-        b = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        diag = np.diag(dense)
-        lam = complex(rng.standard_normal() * 2, rng.standard_normal() * 2)
-        if np.min(np.abs(lam - diag)) < 0.1:
-            continue
-        x = triangular_resolvent_solve(t, lam, b)
-        residual = np.linalg.norm((lam * np.eye(d) - dense) @ x - b)
-        assert residual <= 1e-10 * np.linalg.norm(b)
-
-
-def test_resolvent_guards_near_singular_shift():
-    t = UpperTriangularMatrix.from_diagonal(cvec(1, 2, 3))
-    with pytest.raises(NearSingularShift):
-        triangular_resolvent_solve(t, 2.0 + 1e-16, cvec(1, 1, 1))
 
 
 def test_dimension_mismatch_raises():

@@ -5,7 +5,6 @@ from scipy import special
 from pseudoscope import (
     SeededRng,
     apply_perturbation,
-    full_rank_perturbation,
     jordan_nilpotent,
     rank1_perturbation,
     sample_complex_normal,
@@ -97,41 +96,6 @@ def test_rank1_eigenvalue_variance_clt():
         vals[i] = eps * np.vdot(p.v, p.u) / (p.norm_u * p.norm_v)
     var = np.var(vals)
     assert abs(var - eps**2 / d) <= 0.1 * eps**2 / d
-
-
-def test_full_rank_norm():
-    e = full_rank_perturbation(30, 1.5, SeededRng(53, 0))
-    assert spectral_norm(e) == pytest.approx(1.5, abs=1e-8)
-
-
-def test_full_rank_d1():
-    e = full_rank_perturbation(1, 0.7, SeededRng(53, 1))
-    assert e.shape == (1, 1)
-    assert abs(e[0, 0]) == pytest.approx(0.7, abs=1e-12)
-
-
-def test_full_rank_unitary_invariance_moments():
-    # fixed Householder reflection; first and second entry moments of the
-    # two ensembles must agree within Monte Carlo error
-    d, n = 6, 10_000
-    w = np.full(d, 1.0 / np.sqrt(d), dtype=complex)
-    w[0] += 1.0
-    w /= np.linalg.norm(w)
-    house = np.eye(d, dtype=complex) - 2.0 * np.outer(w, np.conj(w))
-    mean_a = np.zeros((d, d), dtype=complex)
-    mean_b = np.zeros((d, d), dtype=complex)
-    sq_a = np.zeros((d, d))
-    sq_b = np.zeros((d, d))
-    for i in range(n):
-        e = full_rank_perturbation(d, 1.0, SeededRng(59, i))
-        rot = house.conj().T @ e @ house
-        mean_a += e
-        mean_b += rot
-        sq_a += np.abs(e) ** 2
-        sq_b += np.abs(rot) ** 2
-    se_mean = 3.0 / np.sqrt(n)  # entry std is below 1 after normalization
-    assert np.max(np.abs(mean_a - mean_b)) / n <= se_mean
-    assert np.max(np.abs(sq_a - sq_b)) / n <= se_mean
 
 
 def test_apply_perturbation_point_mass():

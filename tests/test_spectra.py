@@ -18,6 +18,7 @@ from pseudoscope import (
     spectrum_match_distance,
     toeplitz_from_symbol,
 )
+from pseudoscope.experiments import StructureSpec, solve
 from pseudoscope.linalg import PolySymbol, UpperTriangularMatrix
 from pseudoscope.sampling import RankOnePerturbation
 
@@ -99,14 +100,14 @@ def test_resolvent_two_cluster_diagonal_vs_dense():
     assert spectrum_match_distance(fast, dense) <= 1e-8 * scale
 
 
-def test_resolvent_toeplitz_vs_dense():
+def test_resolvent_rejects_triangular_base():
     d = 40
     p = rank1_perturbation(d, 2.0, SeededRng(79, 1))
-    t = toeplitz_from_symbol(PolySymbol([3, 2, 1]), d)
-    fast = eigen_resolvent_aberth(t, p)
-    dense = dense_eigenvalues(apply_perturbation(t, p))
-    scale = 1.0 + np.max(np.abs(dense.eigenvalues))
-    assert spectrum_match_distance(fast, dense) <= 1e-8 * scale
+    for t in (toeplitz_from_symbol(PolySymbol([3, 2, 1]), d), jordan_nilpotent(d)):
+        with pytest.raises(ShapeError):
+            eigen_resolvent_aberth(t, p)
+        with pytest.raises(ShapeError):
+            eigen_resolvent_aberth(t.to_dense(), p)
 
 
 def test_resolvent_rejects_dim_mismatch():
@@ -168,38 +169,35 @@ def test_match_distance_rejects_length_mismatch():
 
 
 def _structure_case(kind, d):
+    """Base matrix and fast route of each structure kind under test."""
     if kind == "jordan":
-        base = jordan_nilpotent(d)
-        fast = lambda p: poly_roots(charpoly_jordan_rank1(p))
-    elif kind == "diagonal":
+        return jordan_nilpotent(d), "jordan-poly"
+    if kind == "diagonal":
         diag = np.array([2.0] * (d // 2) + [3.0] * (d - d // 2), dtype=complex)
-        base = UpperTriangularMatrix.from_diagonal(diag)
-        fast = lambda p: eigen_resolvent_aberth(base, p)
-    else:
-        base = toeplitz_from_symbol(PolySymbol([3, 2, 1]), d)
-        fast = lambda p: eigen_resolvent_aberth(base, p)
-    return base, fast
+    else:  # three clusters, one of them off the real axis
+        diag = StructureSpec.parse("diagonal(1,2,3j)").diagonal_entries(d)
+    return UpperTriangularMatrix.from_diagonal(diag), "resolvent-aberth"
 
 
-@pytest.mark.parametrize("kind", ["jordan", "diagonal", "toeplitz"])
+@pytest.mark.parametrize("kind", ["jordan", "diagonal", "three-cluster"])
 def test_oracle_equivalence_sample(kind):
     rng = np.random.default_rng(555)
     for trial in range(20):
         d = int(rng.integers(5, 51))
-        base, fast = _structure_case(kind, d)
+        base, route = _structure_case(kind, d)
         p = rank1_perturbation(d, 2.0, SeededRng(83, trial))
-        s_fast = fast(p)
-        s_dense = dense_eigenvalues(apply_perturbation(base, p))
+        s_fast = solve(base, p, route)
+        s_dense = solve(base, p, "dense-qr")
         scale = 1.0 + np.max(np.abs(s_dense.eigenvalues))
         assert spectrum_match_distance(s_fast, s_dense) <= 1e-8 * scale
 
 
-@pytest.mark.parametrize("kind", ["jordan", "diagonal", "toeplitz"])
+@pytest.mark.parametrize("kind", ["jordan", "diagonal", "three-cluster"])
 def test_trace_conservation(kind):
     d = 24
-    base, fast = _structure_case(kind, d)
+    base, route = _structure_case(kind, d)
     p = rank1_perturbation(d, 2.0, SeededRng(87, hash(kind) % 1000))
-    s = fast(p)
+    s = solve(base, p, route)
     expected = np.trace(base.to_dense()) + p.eps * np.vdot(p.v, p.u) / (
         p.norm_u * p.norm_v
     )
@@ -223,5 +221,20 @@ def test_zero_and_trivial_shift_never_eigenvalues():
         s = poly_roots(charpoly_jordan_rank1(p))
         assert np.min(np.abs(s.eigenvalues)) > 1e-12
         t = toeplitz_from_symbol(PolySymbol([3, 2]), d)
-        s2 = eigen_resolvent_aberth(t, p)
+        s2 = solve(t, p, "dense-qr")
         assert np.min(np.abs(s2.eigenvalues - 3.0)) > 1e-12
+
+
+def test_jordan_poly_beats_dense_qr_at_small_eps():
+    # why jordan-poly is kept although dense QR is faster: at eps=1e-12 the
+    # rounding of dense QR on J + E is as large as the perturbation itself
+    mpmath = pytest.importorskip("mpmath")
+    d = 48
+    p = rank1_perturbation(d, 1e-12, SeededRng(0, 0))
+    poly = charpoly_jordan_rank1(p)
+    with mpmath.workdps(60):
+        desc = [mpmath.mpc(c.real, c.imag) for c in poly.full_coeffs()[::-1]]
+        ref = np.array([complex(r) for r in mpmath.polyroots(desc, maxsteps=200, extraprec=200)])
+    base = jordan_nilpotent(d)
+    assert spectrum_match_distance(solve(base, p, "jordan-poly"), ref) <= 1e-13
+    assert spectrum_match_distance(solve(base, p, "dense-qr"), ref) >= 1e-10
