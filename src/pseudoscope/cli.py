@@ -155,9 +155,11 @@ def _experiment_config(args, need_dims=False):
     solver = _take(
         values, lines, "solver", lambda s: check_route(s, structure.kind), default="auto"
     )
-    if need_dims and "region" in values:
-        # the fit reads each trial's maximum deviation, which no half-width changes
-        raise ConfigError("scaling takes no region key", line=lines["region"])
+    # scaling's fit reads each trial's maximum deviation, which no half-width
+    # changes, and experiment runs one dimension
+    command, foreign = ("scaling", "region") if need_dims else ("experiment", "dims")
+    if foreign in values:
+        raise ConfigError(f"{command} takes no {foreign} key", line=lines[foreign])
     region = _take(values, lines, "region", _region_value, default="auto")
     dims = _take(values, lines, "dims", _int_list, default=None)
     _check_leftover(values, lines)

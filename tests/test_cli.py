@@ -99,11 +99,14 @@ def test_seed_override_changes_results(tmp_path):
 
 
 def test_malformed_config_exit_2_with_line(tmp_path, capsys):
-    bad = "[experiment]\nstructure = jordan\nd = 20\neps = 2.0\nwat = 5\n"
-    cfg = _write(tmp_path, bad)
-    assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "line 5" in err
+    for key in ("wat = 5", "dims = 16,32,64"):
+        bad = f"[experiment]\nstructure = jordan\nd = 20\neps = 2.0\n{key}\n"
+        cfg = _write(tmp_path, bad)
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "line 5" in err and key.split()[0] in err
+        assert not (out / "report.json").exists()
 
 
 def test_bad_structure_reports_its_line(tmp_path, capsys):
@@ -237,10 +240,13 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
 def test_module_entrypoint_subprocess(tmp_path):
     cfg = _write(tmp_path, EXPERIMENT_CFG)
     out = str(tmp_path / "out")
+    # the child does not see pytest's pythonpath setting, so hand it src
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "pseudoscope.cli", "experiment",
          "--config", cfg, "--out", out],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert "containment" in proc.stdout

@@ -101,17 +101,18 @@ def test_exclusion_accounting_present_only_for_general_symbol():
 
 def test_failure_cap_aborts_run(monkeypatch):
     calls = {"n": 0}
-    real = exp.eigen_resolvent_aberth
+    real = exp.poly_roots
 
-    def flaky(t, p, **kw):
+    # jordan-poly is the one iterative route, so the one that can fail
+    def flaky(poly):
         calls["n"] += 1
         if calls["n"] % 3 == 0:
             raise ConvergenceError("forced failure")
-        return real(t, p, **kw)
+        return real(poly)
 
-    monkeypatch.setattr(exp, "eigen_resolvent_aberth", flaky)
+    monkeypatch.setattr(exp, "poly_roots", flaky)
     with pytest.raises(ExperimentError):
-        run_experiment(_cfg("diagonal(2,3)", 20, 30))
+        run_experiment(_cfg("jordan", 20, 30))
 
 
 def test_solver_structure_compatibility():
