@@ -10,12 +10,9 @@ from .errors import (
 )
 from .linalg import (
     PolySymbol,
-    UpperTriangularMatrix,
     jordan_corner,
     jordan_nilpotent,
     jordan_quadratic_forms,
-    quadratic_form,
-    spectral_norm,
     toeplitz_from_symbol,
     two_block_corner,
 )
@@ -24,7 +21,6 @@ from .sampling import (
     SeededRng,
     apply_perturbation,
     rank1_perturbation,
-    sample_complex_normal,
 )
 from .spectra import (
     MonicPolynomial,
@@ -40,10 +36,8 @@ from .geometry import (
     DiskUnion,
     ExclusionSet,
     SymbolBand,
-    annulus_prob_limit,
     corner_eigenvalues,
     critical_values,
-    root_separation_stats,
     separation_radius,
     symbol_image_curve,
     symbol_preimages,

@@ -146,6 +146,12 @@ def _outdir(args):
 def _experiment_config(args, need_dims=False):
     values, lines = _read_config(args.config)
     structure = _take(values, lines, "structure", StructureSpec.parse, required=True)
+    # scaling runs the dims it lists, and its fit reads each trial's maximum
+    # deviation, which no half-width changes; experiment runs one dimension
+    command, foreign = ("scaling", ("d", "region")) if need_dims else ("experiment", ("dims",))
+    for key in foreign:
+        if key in values:
+            raise ConfigError(f"{command} takes no {key} key", line=lines[key])
     d = _take(values, lines, "d", int, required=not need_dims, default=0)
     eps = _take(values, lines, "eps", float, required=True)
     seed = _take(values, lines, "seed", int, default=0)
@@ -155,11 +161,6 @@ def _experiment_config(args, need_dims=False):
     solver = _take(
         values, lines, "solver", lambda s: check_route(s, structure.kind), default="auto"
     )
-    # scaling's fit reads each trial's maximum deviation, which no half-width
-    # changes, and experiment runs one dimension
-    command, foreign = ("scaling", "region") if need_dims else ("experiment", "dims")
-    if foreign in values:
-        raise ConfigError(f"{command} takes no {foreign} key", line=lines[foreign])
     region = _take(values, lines, "region", _region_value, default="auto")
     dims = _take(values, lines, "dims", _int_list, default=None)
     _check_leftover(values, lines)

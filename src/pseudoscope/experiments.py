@@ -204,10 +204,10 @@ class StructureSpec:
         )
 
     def base_matrix(self, d):
+        """The 1-D diagonal for zero, scalar and diagonal; the dense d x d
+        array otherwise."""
         if self.kind in ("zero", "scalar", "diagonal"):
-            from .linalg import UpperTriangularMatrix
-
-            return UpperTriangularMatrix.from_diagonal(self.diagonal_entries(d))
+            return self.diagonal_entries(d)
         if self.kind == "jordan":
             return jordan_nilpotent(d)
         if self.kind == "jordan-corner":

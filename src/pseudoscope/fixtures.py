@@ -8,7 +8,9 @@ seed 20250809, rounded up to two decimals.  Regenerate with::
 
 and update this file if the pilot setup changes.  The diagonal value is
 additionally capped by the disk-disjointness constraint at construction
-time.
+time.  ``zero`` is the ``scalar(0)`` base, so the pilot's scalar case
+calibrates both.  The ``jordan-corner`` value is copied from ``jordan``;
+no pilot case measures it.
 """
 
 PILOT_SEED = 20250809

@@ -1,8 +1,11 @@
 """Concentration regions, symbol-curve geometry, and closed-form corner
 spectra.
 
-All membership tests use strict inequalities, so boundary points do not
-count as members.
+Each region implements ``classify(lams) -> (deviation, outward, inside)``:
+the two-sided distance to its reference set, the outward excess beyond it
+(clipped at zero) and strict membership, all from one pass over the
+values.  All membership tests use strict inequalities, so boundary points
+do not count as members.
 """
 
 from __future__ import annotations
@@ -21,14 +24,11 @@ __all__ = [
     "Annulus",
     "SymbolBand",
     "ExclusionSet",
-    "RootSeparationStats",
     "separation_radius",
     "critical_values",
     "symbol_preimages",
-    "root_separation_stats",
     "corner_eigenvalues",
     "two_block_eigenvalues",
-    "annulus_prob_limit",
     "symbol_image_curve",
 ]
 
@@ -47,27 +47,8 @@ def separation_radius(centers):
     return float(np.min(d)) / 2.0
 
 
-class _Region:
-    """Shared membership API of the concentration regions.
-
-    Each region implements ``classify(lams) -> (deviation, outward,
-    inside)``: the two-sided distance to its reference set, the outward
-    excess beyond it (clipped at zero) and strict membership, all from
-    one pass over the values.
-    """
-
-    def deviation(self, lams):
-        return self.classify(lams)[0]
-
-    def contains_many(self, lams):
-        return self.classify(lams)[2]
-
-    def contains(self, lam):
-        return bool(self.contains_many(lam)[0])
-
-
 @dataclass(frozen=True)
-class DiskUnion(_Region):
+class DiskUnion:
     """Union of open disks of a common radius around the given centers.
 
     Construction enforces disjointness: the radius may not exceed half the
@@ -98,7 +79,7 @@ class DiskUnion(_Region):
 
 
 @dataclass(frozen=True)
-class Annulus(_Region):
+class Annulus:
     """Open annulus ``inner < |lam - center| < outer``.
 
     ``ref`` is the radius of the reference circle used for deviation
@@ -128,10 +109,6 @@ class Annulus(_Region):
         radius ``scale``; the inner radius clamps at 0 for ``delta >= 1``."""
         return cls(center, scale * max(0.0, 1.0 - delta), scale * (1.0 + delta), ref=scale)
 
-    @property
-    def scale(self):
-        return self.ref
-
     def classify(self, lams):
         """Deviation ``| |lam - center| - ref |`` from the reference circle."""
         lams = np.atleast_1d(np.asarray(lams, dtype=np.complex128))
@@ -141,7 +118,7 @@ class Annulus(_Region):
 
 
 @dataclass(frozen=True)
-class SymbolBand(_Region):
+class SymbolBand:
     """Image of the thin annulus ``||z| - 1| < delta`` under the symbol map;
     membership is decided through preimage moduli."""
 
@@ -185,11 +162,6 @@ class ExclusionSet:
     @classmethod
     def from_symbol(cls, p, tau):
         return cls(critical_values(p), tau)
-
-    def contains(self, lam):
-        if self.critical_points.size == 0:
-            return False
-        return bool(np.min(np.abs(lam - self.critical_points)) < self.radius)
 
     def mask(self, lams):
         lams = np.atleast_1d(np.asarray(lams, dtype=np.complex128))
@@ -237,34 +209,6 @@ def symbol_preimages(p: PolySymbol, lams):
     return z[0] if lams.ndim == 0 else z
 
 
-@dataclass(frozen=True)
-class RootSeparationStats:
-    """Per-shift separation diagnostics of the preimage configuration."""
-
-    min_pair_distance: float
-    min_derivative_modulus: float
-    min_root_modulus: float
-
-
-def root_separation_stats(p: PolySymbol, lam):
-    """Minimum pairwise distance, minimum |p'| and minimum modulus over the
-    preimages of ``lam``; the pair distance is +inf for a linear symbol."""
-    roots = symbol_preimages(p, lam)
-    if roots.size < 2:
-        pair = math.inf
-    else:
-        d = np.abs(roots[:, None] - roots[None, :])
-        np.fill_diagonal(d, np.inf)
-        pair = float(np.min(d))
-    dc = p.derivative_coeffs()
-    deriv = float(np.min(np.abs(np.polynomial.polynomial.polyval(roots, dc))))
-    return RootSeparationStats(
-        min_pair_distance=pair,
-        min_derivative_modulus=deriv,
-        min_root_modulus=float(np.min(np.abs(roots))),
-    )
-
-
 def corner_eigenvalues(d, rho):
     """Closed-form spectrum of the nilpotent block with corner entry rho:
     the d-th roots of rho, uniform on the circle of radius ``|rho|^{1/d}``."""
@@ -291,20 +235,6 @@ def two_block_eigenvalues(d, gamma1, gamma2, rho):
     plus = (g1 + g2 + disc) / 2.0
     minus = (g1 + g2 - disc) / 2.0
     return np.concatenate([plus, minus])
-
-
-def annulus_prob_limit(distribution, c):
-    """Large-dimension limit of the corner-spectrum annulus probability at
-    half-width C/d: ``Pr(e^{-C} < |xi| < e^{C})`` under the modulus law of
-    the given scalar distribution (only CN(0,1) is supported, where the
-    modulus is Rayleigh with ``Pr(|xi| <= r) = 1 - exp(-r^2)``)."""
-    if distribution != "CN(0,1)":
-        raise ShapeError(f"unsupported distribution tag {distribution!r}")
-    c = float(c)
-    if c < 0:
-        raise ShapeError("C must be nonnegative")
-    # 1 - Pr(|xi| <= e^-C) - Pr(|xi| >= e^C)
-    return float(math.exp(-math.exp(-2.0 * c)) - math.exp(-math.exp(2.0 * c)))
 
 
 def symbol_image_curve(p: PolySymbol, samples):

@@ -4,9 +4,9 @@ Conventions used throughout the package:
 
 * vectors and matrices are numpy ``complex128`` arrays,
 * ``vdot``-style quadratic forms conjugate the *left* vector,
-* upper-triangular matrices are stored as packed diagonals (offset ->
-  length ``d - offset`` array), which keeps banded Toeplitz matrices at
-  O(n d) storage.
+* a base matrix is a plain array in one of two forms: the 1-D diagonal
+  of a normal (diagonal) base, or the dense d x d array of a Jordan,
+  corner or Toeplitz base.
 """
 
 from __future__ import annotations
@@ -19,15 +19,12 @@ from .errors import ShapeError
 
 __all__ = [
     "PolySymbol",
-    "UpperTriangularMatrix",
     "as_complex_vector",
     "as_complex_matrix",
     "jordan_nilpotent",
     "jordan_corner",
     "two_block_corner",
     "toeplitz_from_symbol",
-    "spectral_norm",
-    "quadratic_form",
     "jordan_quadratic_forms",
 ]
 
@@ -89,90 +86,16 @@ class PolySymbol:
         return self.coeffs[1:] * np.arange(1, self.coeffs.size)
 
 
-class UpperTriangularMatrix:
-    """Square upper-triangular matrix in packed-diagonal storage.
-
-    ``diags`` maps a superdiagonal offset ``k`` (0 for the main diagonal)
-    to the length ``d - k`` array of its entries.  Offsets absent from the
-    map are identically zero.  The main diagonal is always materialized.
-    """
-
-    def __init__(self, dim, diags):
-        if dim < 1:
-            raise ShapeError("dimension must be positive")
-        self.dim = int(dim)
-        self._diags = {}
-        for k, arr in diags.items():
-            k = int(k)
-            if not 0 <= k < dim:
-                raise ShapeError(f"diagonal offset {k} out of range for dim {dim}")
-            a = as_complex_vector(arr, dim=dim - k, name=f"diagonal {k}")
-            self._diags[k] = a
-        if 0 not in self._diags:
-            self._diags[0] = np.zeros(dim, dtype=np.complex128)
-
-    @classmethod
-    def from_dense(cls, a):
-        m = as_complex_matrix(a)
-        if np.any(np.tril(m, -1) != 0):
-            raise ShapeError("matrix has nonzero entries below the diagonal")
-        d = m.shape[0]
-        diags = {}
-        for k in range(d):
-            band = np.diagonal(m, k)
-            if k == 0 or np.any(band != 0):
-                diags[k] = band.copy()
-        return cls(d, diags)
-
-    @classmethod
-    def from_diagonal(cls, entries):
-        e = as_complex_vector(entries, name="diagonal entries")
-        return cls(e.size, {0: e})
-
-    def diagonal(self, k=0):
-        arr = self._diags.get(k)
-        if arr is None:
-            return np.zeros(self.dim - k, dtype=np.complex128)
-        return arr
-
-    @property
-    def is_diagonal(self):
-        return all(k == 0 or not np.any(v) for k, v in self._diags.items())
-
-    def to_dense(self):
-        a = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for k, arr in self._diags.items():
-            a += np.diag(arr, k)
-        return a
-
-    def matvec(self, x):
-        x = as_complex_vector(x, dim=self.dim)
-        y = np.zeros(self.dim, dtype=np.complex128)
-        for k, arr in self._diags.items():
-            y[: self.dim - k] += arr * x[k:]
-        return y
-
-    def trace(self):
-        return complex(np.sum(self.diagonal()))
-
-
 def jordan_nilpotent(d):
     """Nilpotent single block: ones on the first superdiagonal."""
     if d < 1:
         raise ShapeError("dimension must be positive")
-    diags = {0: np.zeros(d, dtype=np.complex128)}
-    if d > 1:
-        diags[1] = np.ones(d - 1, dtype=np.complex128)
-    return UpperTriangularMatrix(d, diags)
+    return np.diag(np.ones(d - 1, dtype=np.complex128), 1)
 
 
 def jordan_corner(d, rho):
     """Nilpotent block with one extra entry ``rho`` in the bottom-left corner."""
-    if d < 1:
-        raise ShapeError("dimension must be positive")
-    a = np.zeros((d, d), dtype=np.complex128)
-    if d > 1:
-        a += np.diag(np.ones(d - 1), 1)
+    a = jordan_nilpotent(d)
     a[d - 1, 0] += complex(rho)
     return a
 
@@ -199,30 +122,10 @@ def toeplitz_from_symbol(p, d):
         p = PolySymbol(np.asarray(p))
     if p.degree > d - 1:
         raise ShapeError(f"symbol degree {p.degree} needs dimension > {p.degree}, got {d}")
-    diags = {0: np.full(d, p.coeffs[0], dtype=np.complex128)}
-    for k in range(1, p.degree + 1):
-        if p.coeffs[k] != 0:
-            diags[k] = np.full(d - k, p.coeffs[k], dtype=np.complex128)
-    return UpperTriangularMatrix(d, diags)
-
-
-def spectral_norm(a):
-    """Largest singular value of a dense or packed upper-triangular matrix."""
-    if isinstance(a, UpperTriangularMatrix):
-        a = a.to_dense()
-    return float(np.linalg.norm(as_complex_matrix(a), 2))
-
-
-def quadratic_form(v, a, u):
-    """``v^dag A u`` with the conjugate transpose applied to ``v``."""
-    if isinstance(a, UpperTriangularMatrix):
-        u = as_complex_vector(u, dim=a.dim, name="u")
-        v = as_complex_vector(v, dim=a.dim, name="v")
-        return complex(np.vdot(v, a.matvec(u)))
-    a = as_complex_matrix(a)
-    u = as_complex_vector(u, dim=a.shape[0], name="u")
-    v = as_complex_vector(v, dim=a.shape[0], name="v")
-    return complex(np.vdot(v, a @ u))
+    a = np.zeros((d, d), dtype=np.complex128)
+    for k, c in enumerate(p.coeffs):
+        a += np.diag(np.full(d - k, c), k)
+    return a
 
 
 def jordan_quadratic_forms(u, v):

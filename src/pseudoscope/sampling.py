@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import UpperTriangularMatrix, as_complex_vector
+from .linalg import as_complex_vector
 
 __all__ = [
     "SeededRng",
     "RankOnePerturbation",
-    "sample_complex_normal",
     "rank1_perturbation",
     "apply_perturbation",
 ]
@@ -99,34 +98,30 @@ class RankOnePerturbation:
         return self.scale * np.outer(self.u, np.conj(self.v))
 
 
-def sample_complex_normal(d, rng):
-    """Standard complex normal vector in dimension d (entries CN(0, 1))."""
-    if d < 1:
-        raise ShapeError("dimension must be positive")
-    return rng.complex_normals(d)
-
-
 def rank1_perturbation(d, eps, rng):
     """Draw independent u, v and wrap them as a normalized rank-1
-    perturbation of spectral norm ``eps``."""
+    perturbation of spectral norm ``eps``; the entries are CN(0, 1)."""
+    if d < 1:
+        raise ShapeError("dimension must be positive")
     if eps <= 0:
         raise ShapeError("eps must be positive")
-    u = sample_complex_normal(d, rng)
-    v = sample_complex_normal(d, rng)
+    u = rng.complex_normals(d)
+    v = rng.complex_normals(d)
     # A zero draw has probability zero; resample once, then give up.
     if np.linalg.norm(u) == 0.0 or np.linalg.norm(v) == 0.0:
-        u = sample_complex_normal(d, rng)
-        v = sample_complex_normal(d, rng)
+        u = rng.complex_normals(d)
+        v = rng.complex_normals(d)
         if np.linalg.norm(u) == 0.0 or np.linalg.norm(v) == 0.0:
             raise ShapeError("drew a zero-norm vector twice in a row")
     return RankOnePerturbation(u, v, float(eps))
 
 
 def apply_perturbation(t, p):
-    """Dense sum ``T + eps u v^dag / (|u| |v|)``."""
-    if isinstance(t, UpperTriangularMatrix):
-        t = t.to_dense()
+    """Dense sum ``T + eps u v^dag / (|u| |v|)``; a 1-D ``t`` is the
+    diagonal of ``T``."""
     t = np.asarray(t, dtype=np.complex128)
+    if t.ndim == 1:
+        t = np.diag(t)
     if t.shape != (p.dim, p.dim):
         raise ShapeError(f"matrix shape {t.shape} does not match perturbation dim {p.dim}")
     return t + p.materialize()

@@ -22,12 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ShapeError
-from .linalg import (
-    UpperTriangularMatrix,
-    as_complex_matrix,
-    as_complex_vector,
-    jordan_quadratic_forms,
-)
+from .linalg import as_complex_matrix, as_complex_vector, jordan_quadratic_forms
 from .sampling import RankOnePerturbation
 
 __all__ = [
@@ -196,9 +191,10 @@ def poly_roots(p: MonicPolynomial, max_sweeps=500) -> Spectrum:
     return Spectrum(roots, SOLVER_JORDAN_POLY, _poly_residual(p, roots))
 
 
-def eigen_resolvent_aberth(t, p: RankOnePerturbation) -> Spectrum:
-    """All eigenvalues of ``D + eps u v^dag / (|u| |v|)`` for a diagonal
-    ``D``, by exact deflation and one small dense eigenproblem.
+def eigen_resolvent_aberth(diag, p: RankOnePerturbation) -> Spectrum:
+    """All eigenvalues of ``D + eps u v^dag / (|u| |v|)`` for the diagonal
+    ``D`` with entries ``diag``, by exact deflation and one small dense
+    eigenproblem.
 
     A rank-1 update moves exactly one eigenvalue out of each repeated
     eigenspace, so a value of multiplicity n_c keeps n_c - 1 exact copies.
@@ -207,24 +203,11 @@ def eigen_resolvent_aberth(t, p: RankOnePerturbation) -> Spectrum:
     cluster weights ``w_c = sum_{k in c} conj(v_k) u_k`` (Golub, SIAM Rev.
     1973): its characteristic function is the secular factor
     ``1 - s sum_c w_c / (lam - gamma_c)`` times ``prod_c (lam - gamma_c)``.
-    A base with nonzero superdiagonals raises :class:`ShapeError`; its
-    spectrum is the ``dense-qr`` route's.
+    A 2-D base raises :class:`ShapeError`; its spectrum is the
+    ``dense-qr`` route's.
     """
-    if isinstance(t, UpperTriangularMatrix):
-        ut = t
-    else:
-        arr = np.asarray(t, dtype=np.complex128)
-        if arr.ndim == 1:
-            ut = UpperTriangularMatrix.from_diagonal(arr)
-        else:
-            ut = UpperTriangularMatrix.from_dense(arr)
-    if ut.dim != p.dim:
-        raise ShapeError(f"matrix dim {ut.dim} does not match perturbation dim {p.dim}")
-    if not ut.is_diagonal:
-        raise ShapeError("resolvent-aberth needs a diagonal base; use dense-qr")
-    values, inverse, counts = np.unique(
-        ut.diagonal(), return_inverse=True, return_counts=True
-    )
+    diag = as_complex_vector(diag, dim=p.dim, name="diagonal")
+    values, inverse, counts = np.unique(diag, return_inverse=True, return_counts=True)
     m = values.size
     weights = np.zeros(m, dtype=np.complex128)
     np.add.at(weights, inverse, np.conj(p.v) * p.u)
@@ -239,8 +222,6 @@ def dense_eigenvalues(a) -> Spectrum:
     Exactly upper-triangular inputs short-circuit to their diagonal.  The
     residual is reported as 0.
     """
-    if isinstance(a, UpperTriangularMatrix):
-        return Spectrum(a.diagonal().copy(), SOLVER_DENSE, 0.0)
     a = as_complex_matrix(a)
     if np.all(np.tril(a, -1) == 0):
         return Spectrum(np.diagonal(a).copy(), SOLVER_DENSE, 0.0)

@@ -165,14 +165,17 @@ def test_scaling_uses_config_solver(tmp_path, capsys):
 
 
 def test_scaling_rejects_region_key(tmp_path, capsys):
-    text = (
-        "[experiment]\nstructure = jordan\neps = 2.0\nregion = 0.1\n"
-        "dims = 16,32,64\ntrials = 5\n"
-    )
-    cfg = _write(tmp_path, text)
-    assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "line 4" in err and "region" in err
+    for key in ("region = 0.1", "d = 20"):
+        text = (
+            f"[experiment]\nstructure = jordan\neps = 2.0\n{key}\n"
+            "dims = 16,32,64\ntrials = 5\n"
+        )
+        cfg = _write(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["scaling", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "line 4" in err and f"no {key.split()[0]} key" in err
+        assert not (out / "scaling.json").exists()
 
 
 def test_scaling_rejects_empty_and_single_dims(tmp_path):

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import os
 
 import numpy as np
 import pytest
@@ -410,3 +412,17 @@ def test_zero_cloud_tightens_with_dimension():
         stds[d] = float(np.std(moved))
     ratio = stds[100] / stds[1000]
     assert ratio == pytest.approx(math.sqrt(10.0), rel=0.2)
+
+
+def test_pilot_prints_one_line_per_kind(monkeypatch, capsys):
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "tools", "pilot.py")
+    spec = importlib.util.spec_from_file_location("pilot", path)
+    pilot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pilot)
+    monkeypatch.setattr(pilot, "TRIALS", 3)
+    pilot.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert "trials=3" in lines[0]
+    assert [line.split()[0] for line in lines[1:]] == list(pilot.CASES)
+    assert all("q99.9=" in line for line in lines[1:])

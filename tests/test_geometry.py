@@ -10,11 +10,9 @@ from pseudoscope import (
     PolySymbol,
     ShapeError,
     SymbolBand,
-    annulus_prob_limit,
     corner_eigenvalues,
     critical_values,
     dense_eigenvalues,
-    root_separation_stats,
     separation_radius,
     spectrum_match_distance,
     symbol_image_curve,
@@ -56,32 +54,32 @@ def test_disk_union_rejects_overlap():
 
 def test_disk_union_membership_strict():
     disks = DiskUnion([0.0, 2.0], 0.5)
-    assert disks.contains(0.49)
-    assert not disks.contains(0.5)  # boundary excluded
-    assert disks.contains(2.3)
-    assert not disks.contains(1.0)
+    assert disks.classify(0.49)[2]
+    assert not disks.classify(0.5)[2]  # boundary excluded
+    assert disks.classify(2.3)[2]
+    assert not disks.classify(1.0)[2]
 
 
 def test_annulus_membership():
     ann = Annulus.from_scale(0j, 1.0, 0.1)
-    assert ann.contains(1.05)
-    assert not ann.contains(1.2)
-    assert not ann.contains(0.85)
-    assert ann.contains(0.95j)
+    assert ann.classify(1.05)[2]
+    assert not ann.classify(1.2)[2]
+    assert not ann.classify(0.85)[2]
+    assert ann.classify(0.95j)[2]
 
 
 def test_annulus_inner_clamp():
     ann = Annulus.from_scale(0j, 1.0, 1.5)
     assert ann.inner == 0.0
     assert ann.ref == 1.0
-    assert ann.contains(1e-6)
+    assert ann.classify(1e-6)[2]
 
 
 def test_band_linear_symbol_circle():
     band = SymbolBand(PolySymbol([3, 2]), 0.1)
     for theta in np.linspace(0, 2 * np.pi, 17):
-        assert band.contains(3 + 2 * np.exp(1j * theta))
-    assert not band.contains(3 + 2.25)
+        assert band.classify(3 + 2 * np.exp(1j * theta))[2]
+    assert not band.classify(3 + 2.25)[2]
 
 
 def test_band_quadratic_example_outside():
@@ -91,7 +89,7 @@ def test_band_quadratic_example_outside():
     # oracle: quadratic formula preimages have moduli 1.3 and |a1/a2*...|
     z = symbol_preimages(p, lam)
     assert np.min(np.abs(np.abs(z) - 1.0)) > 0.05
-    assert not band.contains(lam)
+    assert not band.classify(lam)[2]
 
 
 def test_band_reduces_to_annulus_for_identity_symbol():
@@ -99,8 +97,8 @@ def test_band_reduces_to_annulus_for_identity_symbol():
     band = SymbolBand(PolySymbol([0, 1]), 0.2)
     ann = Annulus.from_scale(0j, 1.0, 0.2)
     lams = 2.5 * (rng.standard_normal(10_000) + 1j * rng.standard_normal(10_000))
-    got = band.contains_many(lams)
-    want = ann.contains_many(lams)
+    got = band.classify(lams)[2]
+    want = ann.classify(lams)[2]
     assert np.array_equal(got, want)
 
 
@@ -122,10 +120,10 @@ def test_critical_values_pure_cube():
 
 def test_exclusion_set_membership():
     exc = ExclusionSet.from_symbol(PolySymbol([3, 2, 1]), 0.5)
-    assert exc.contains(2.2)
-    assert not exc.contains(2.6)
+    assert exc.mask(2.2)[0]
+    assert not exc.mask(2.6)[0]
     empty = ExclusionSet.from_symbol(PolySymbol([3, 2]), 0.5)
-    assert not empty.contains(3.0)
+    assert not empty.mask(3.0)[0]
 
 
 def test_symbol_preimages_identity():
@@ -166,31 +164,6 @@ def test_symbol_preimages_batch_matches_scalar_calls():
         for lam, row in zip(lams, batch):
             assert np.array_equal(row, symbol_preimages(p, lam))
             assert np.allclose(p(row), lam, atol=1e-12)
-
-
-def test_root_separation_at_critical_value():
-    stats = root_separation_stats(PolySymbol([3, 2, 1]), 2.0)
-    assert stats.min_pair_distance == pytest.approx(0.0, abs=1e-6)
-    assert stats.min_derivative_modulus == pytest.approx(0.0, abs=1e-6)
-
-
-def test_root_separation_factorizable():
-    stats = root_separation_stats(PolySymbol([3, 2, 1]), 6.0)
-    assert stats.min_pair_distance == pytest.approx(4.0, rel=1e-10)
-    assert stats.min_derivative_modulus == pytest.approx(4.0, rel=1e-10)
-    assert stats.min_root_modulus == pytest.approx(1.0, rel=1e-10)
-
-
-def test_root_separation_linear_sentinel():
-    stats = root_separation_stats(PolySymbol([3, 2]), 5.0)
-    assert stats.min_pair_distance == math.inf
-
-
-def test_root_separation_growth_for_square_symbol():
-    p = PolySymbol([0, 0, 1])
-    lam = 1e6
-    stats = root_separation_stats(p, lam)
-    assert abs(stats.min_pair_distance - 2.0 * math.sqrt(lam)) <= 0.01 * 2.0 * math.sqrt(lam)
 
 
 def test_corner_eigenvalues_examples():
@@ -239,15 +212,6 @@ def test_two_block_defective_collision_case():
     closed = two_block_eigenvalues(2, 0.0, 2.0, 1.0)
     dense = dense_eigenvalues(two_block_corner(2, 0.0, 2.0, 1.0))
     assert spectrum_match_distance(closed, dense) <= 5e-8
-
-
-def test_annulus_prob_limit_values():
-    assert annulus_prob_limit("CN(0,1)", 20.0) == pytest.approx(1.0, abs=1e-12)
-    expected = math.exp(-math.exp(-2.0)) - math.exp(-math.exp(2.0))
-    assert annulus_prob_limit("CN(0,1)", 1.0) == pytest.approx(expected, rel=1e-14)
-    assert annulus_prob_limit("CN(0,1)", 0.0) == 0.0
-    with pytest.raises(ShapeError):
-        annulus_prob_limit("uniform", 1.0)
 
 
 def test_symbol_image_curve_identity_and_affine():

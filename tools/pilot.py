@@ -34,12 +34,13 @@ def main():
             structure=spec, d=D, eps=EPS, trials=TRIALS, seed=SEED, region=0.5
         )
         region, _ = build_region(cfg)
+        base = spec.base_matrix(D)
         devs = []
         for i in range(TRIALS):
             rng = SeededRng(SEED, i)
             pert = rank1_perturbation(D, EPS, rng)
-            lams = np.linalg.eigvals(apply_perturbation(spec.base_matrix(D), pert))
-            devs.append(region.deviation(lams))
+            lams = np.linalg.eigvals(apply_perturbation(base, pert))
+            devs.append(region.classify(lams)[0])
         devs = np.concatenate(devs)
         q999 = float(np.quantile(devs, 0.999))
         frozen = fixtures.AUTO_DELTA[kind]
