@@ -19,7 +19,6 @@ from .experiments import (
     AUTO_SOLVER,
     ExperimentConfig,
     StructureSpec,
-    build_region,
     check_route,
     corner_annulus_probability,
     default_trials,
@@ -41,7 +40,6 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
 THREADS_ENV = "PSEUDOSCOPE_THREADS"
-CORRUPT_ENV = "PSEUDOSCOPE_ORACLE_CORRUPT"
 
 TAIL_KINDS = ("norm", "hw", "cw", "qf-diag", "corner")
 
@@ -180,14 +178,13 @@ def cmd_experiment(args):
     cfg = _experiment_config(args)
     out = _outdir(args)
     report = run_experiment(cfg, threads=_threads(args))
-    region, exclusion = build_region(cfg)
     csv_path = os.path.join(out, "eigenvalues.csv")
     rp.write_eigenvalue_csv(csv_path, report.records)
     rp.write_json(os.path.join(out, "report.json"), rp.report_to_json_dict(report))
     rp.write_scatter_svg(
         os.path.join(out, "scatter.svg"),
         report.records,
-        rp.region_overlay_curves(region, exclusion),
+        rp.region_overlay_curves(report.region, report.exclusion),
     )
     rp.write_manifest(out, ["eigenvalues.csv", "report.json", "scatter.svg"])
     print(
@@ -303,7 +300,8 @@ def cmd_tails(args):
 def cmd_oracle_check(args):
     if not 5 <= args.d_max <= ORACLE_D_MAX:
         raise ConfigError(f"d-max must be between 5 and {ORACLE_D_MAX}")
-    corrupt = os.environ.get(CORRUPT_ENV, "") not in ("", "0")
+    if args.trials < 1:
+        raise ConfigError("trials must be positive")
     rng = np.random.default_rng(12345)
     failed = False
     for spec in map(StructureSpec.parse, ORACLE_STRUCTURES):
@@ -315,9 +313,6 @@ def cmd_oracle_check(args):
             base = spec.base_matrix(d)
             lams = solve(base, pert, route).eigenvalues
             dense = solve(base, pert, SOLVER_DENSE)
-            if corrupt:
-                lams = lams.copy()
-                lams[0] += 1e-5
             dist = spectrum_match_distance(lams, dense.eigenvalues)
             scale = 1.0 + float(np.max(np.abs(dense.eigenvalues)))
             if dist > 1e-8 * scale:

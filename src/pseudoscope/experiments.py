@@ -56,18 +56,11 @@ __all__ = [
     "corner_annulus_probability",
 ]
 
-STRUCTURE_KINDS = ("zero", "scalar", "diagonal", "jordan", "jordan-corner", "toeplitz")
-
-# The structure kinds each solver route accepts.
-ROUTES = {
-    SOLVER_JORDAN_POLY: ("jordan",),
-    SOLVER_RESOLVENT: ("zero", "scalar", "diagonal"),
-    SOLVER_DENSE: STRUCTURE_KINDS,
-}
-
-# Route for ``solver = auto`` by structure kind.  Diagonal bases stay on
-# the resolvent route, whose deflation to an m x m eigenproblem makes the
-# solve about 0.1 ms per trial at d=512 (dense QR: about 73 ms).
+# Route for ``solver = auto`` by structure kind; its keys are the kinds.
+# An explicit solver must be the kind's auto route or dense QR.  Diagonal
+# bases stay on the resolvent route, whose deflation to an m x m
+# eigenproblem makes the solve about 0.1 ms per trial at d=512 (dense QR:
+# about 73 ms).
 AUTO_SOLVER = {
     "zero": SOLVER_RESOLVENT,
     "scalar": SOLVER_RESOLVENT,
@@ -77,21 +70,32 @@ AUTO_SOLVER = {
     "toeplitz": SOLVER_DENSE,
 }
 
+# Fewest and most arguments of each structure kind.
+_ARITY = {
+    "zero": (0, 0),
+    "scalar": (1, 1),
+    "diagonal": (1, math.inf),
+    "jordan": (0, 0),
+    "jordan-corner": (1, 1),
+    "toeplitz": (2, math.inf),
+}
+
+# Kinds whose base is its 1-D diagonal; zero and scalar are one-entry
+# diagonals.
+_DIAGONAL_KINDS = ("zero", "scalar", "diagonal")
+
 _FAILURE_CAP = 0.01
 
 
 def check_route(solver, kind):
-    """``solver`` itself if it is ``auto`` or a route that accepts the
-    structure kind in :data:`ROUTES`; a :class:`ConfigError` otherwise."""
-    if solver == "auto":
+    """``solver`` itself if it is ``auto``, the kind's :data:`AUTO_SOLVER`
+    route or dense QR; a :class:`ConfigError` otherwise."""
+    if solver in ("auto", AUTO_SOLVER[kind], SOLVER_DENSE):
         return solver
-    if solver not in ROUTES:
-        raise ConfigError(
-            f"unknown solver {solver!r}; expected auto, " + ", ".join(ROUTES)
-        )
-    if kind not in ROUTES[solver]:
-        raise ConfigError(f"the {solver} solver does not apply to the {kind} structure")
-    return solver
+    routes = sorted(set(AUTO_SOLVER.values()))
+    if solver not in routes:
+        raise ConfigError(f"unknown solver {solver!r}; expected auto, " + ", ".join(routes))
+    raise ConfigError(f"the {solver} solver does not apply to the {kind} structure")
 
 
 def solve(base, pert, route):
@@ -120,28 +124,35 @@ def _parse_complex(text):
 
 @dataclass(frozen=True)
 class StructureSpec:
-    """Which base matrix a run perturbs.
+    """Which base matrix a run perturbs: a kind and its complex arguments.
 
-    kind        one of zero | scalar | diagonal | jordan | jordan-corner | toeplitz
-    value       the scalar C (kind scalar)
-    entries     the distinct diagonal values, split evenly (kind diagonal)
-    rho         the corner entry (kind jordan-corner)
-    coeffs      ascending symbol coefficients (kind toeplitz)
+    zero                   no arguments; the zero matrix
+    scalar(C)              exactly one: C times the identity
+    diagonal(g1, .., gm)   one or more distinct values, split evenly down
+                           the diagonal
+    jordan                 no arguments; the nilpotent Jordan block
+    jordan-corner(rho)     exactly one, rho != 0: the block with rho in the
+                           bottom-left corner
+    toeplitz(a0, .., an)   two or more ascending symbol coefficients, the
+                           last nonzero
+
+    zero and scalar are one-entry diagonals, ``args or (0j,)``.
     """
 
     kind: str
-    value: complex = 0j
-    entries: tuple = ()
-    rho: complex = 0j
-    coeffs: tuple = ()
+    args: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in STRUCTURE_KINDS:
+        if self.kind not in _ARITY:
             raise ConfigError(f"unknown structure kind {self.kind!r}")
-        if self.kind == "diagonal" and len(self.entries) == 0:
-            raise ConfigError("diagonal structure needs at least one entry")
-        if self.kind == "toeplitz" and len(self.coeffs) < 2:
-            raise ConfigError("toeplitz structure needs symbol coefficients (a0, a1, ...)")
+        fewest, most = _ARITY[self.kind]
+        if not fewest <= len(self.args) <= most:
+            wanted = f"exactly {fewest}" if fewest == most else f"at least {fewest}"
+            raise ConfigError(f"{self.kind} takes {wanted} argument(s), got {len(self.args)}")
+        if self.kind == "toeplitz":
+            self.symbol()  # PolySymbol rejects a zero last coefficient
+        if self.kind == "jordan-corner" and self.args[0] == 0:
+            raise ShapeError("jordan-corner needs a nonzero corner entry rho")
 
     @classmethod
     def parse(cls, text):
@@ -151,70 +162,41 @@ class StructureSpec:
         m = re.fullmatch(r"([a-z-]+)\s*(?:\(([^)]*)\))?", text)
         if not m:
             raise ConfigError(f"cannot parse structure {text!r}")
-        kind, args = m.group(1), m.group(2)
-        parts = [s for s in (args.split(",") if args else []) if s.strip()]
-        values = [_parse_complex(s) for s in parts]
-        if kind == "zero":
-            return cls("zero")
-        if kind == "scalar":
-            if len(values) != 1:
-                raise ConfigError("scalar(C) takes exactly one value")
-            return cls("scalar", value=values[0])
-        if kind == "diagonal":
-            return cls("diagonal", entries=tuple(values))
-        if kind == "jordan":
-            return cls("jordan")
-        if kind == "jordan-corner":
-            if len(values) != 1:
-                raise ConfigError("jordan-corner(rho) takes exactly one value")
-            return cls("jordan-corner", rho=values[0])
-        if kind == "toeplitz":
-            return cls("toeplitz", coeffs=tuple(values))
-        raise ConfigError(f"unknown structure kind {kind!r}")
+        parts = m.group(2).split(",") if m.group(2) else []
+        return cls(m.group(1), tuple(_parse_complex(s) for s in parts if s.strip()))
 
     def label(self):
-        if self.kind == "scalar":
-            return f"scalar({_fmt_complex(self.value)})"
-        if self.kind == "diagonal":
-            return "diagonal(" + ",".join(_fmt_complex(e) for e in self.entries) + ")"
-        if self.kind == "jordan-corner":
-            return f"jordan-corner({_fmt_complex(self.rho)})"
-        if self.kind == "toeplitz":
-            return "toeplitz(" + ",".join(_fmt_complex(c) for c in self.coeffs) + ")"
-        return self.kind
+        if not self.args:
+            return self.kind
+        return f"{self.kind}(" + ",".join(_fmt_complex(a) for a in self.args) + ")"
 
     def symbol(self):
         if self.kind != "toeplitz":
             raise ShapeError("only toeplitz structures carry a symbol")
-        return PolySymbol(np.asarray(self.coeffs))
+        return PolySymbol(np.asarray(self.args))
 
     def diagonal_entries(self, d):
         """Full length-d diagonal with the entries split as evenly as
         possible (earlier entries absorb the remainder)."""
-        if self.kind in ("zero", "scalar"):
-            return np.full(d, complex(self.value) if self.kind == "scalar" else 0j)
-        if self.kind != "diagonal":
+        if self.kind not in _DIAGONAL_KINDS:
             raise ShapeError(f"{self.kind} has no prescribed diagonal")
-        m = len(self.entries)
+        entries = self.args or (0j,)
+        m = len(entries)
         if m > d:
             raise ConfigError(f"more diagonal entries ({m}) than dimension {d}")
         counts = [d // m + (1 if i < d % m else 0) for i in range(m)]
-        return np.concatenate(
-            [np.full(c, complex(e)) for e, c in zip(self.entries, counts)]
-        )
+        return np.concatenate([np.full(c, complex(e)) for e, c in zip(entries, counts)])
 
     def base_matrix(self, d):
         """The 1-D diagonal for zero, scalar and diagonal; the dense d x d
         array otherwise."""
-        if self.kind in ("zero", "scalar", "diagonal"):
+        if self.kind in _DIAGONAL_KINDS:
             return self.diagonal_entries(d)
         if self.kind == "jordan":
             return jordan_nilpotent(d)
         if self.kind == "jordan-corner":
-            return jordan_corner(d, self.rho)
-        if self.kind == "toeplitz":
-            return toeplitz_from_symbol(self.symbol(), d)
-        raise ConfigError(f"unknown structure kind {self.kind!r}")
+            return jordan_corner(d, self.args[0])
+        return toeplitz_from_symbol(self.symbol(), d)
 
 
 def _fmt_complex(z):
@@ -246,7 +228,7 @@ class ExperimentConfig:
             raise ConfigError("eps must be positive")
         if self.trials < 1:
             raise ConfigError("trials must be positive")
-        if self.structure.kind == "toeplitz" and len(self.structure.coeffs) - 1 > self.d - 1:
+        if self.structure.kind == "toeplitz" and len(self.structure.args) - 1 > self.d - 1:
             raise ConfigError("symbol degree must be below the dimension")
         check_route(self.solver, self.structure.kind)
 
@@ -259,8 +241,8 @@ class ExperimentConfig:
     def resolved_delta(self):
         if self.region == "auto":
             delta = fixtures.AUTO_DELTA[self.structure.kind]
-            if self.structure.kind == "diagonal":
-                centers = np.unique(np.asarray(self.structure.entries, dtype=complex))
+            if self.structure.kind in _DIAGONAL_KINDS:
+                centers = np.unique(self.structure.diagonal_entries(self.d))
                 delta = min(delta, 0.999 * separation_radius(centers))
             return delta
         return float(self.region)
@@ -270,20 +252,17 @@ def build_region(cfg: ExperimentConfig):
     """The containment region and (for general symbols) the exclusion set."""
     kind = cfg.structure.kind
     delta = cfg.resolved_delta()
-    if kind in ("zero", "scalar", "diagonal"):
+    if kind in _DIAGONAL_KINDS:
         centers = np.unique(np.asarray(cfg.structure.diagonal_entries(cfg.d)))
         return DiskUnion(centers, delta), None
     if kind == "jordan":
         return Annulus.from_scale(0j, 1.0, delta), None
     if kind == "jordan-corner":
-        scale = abs(complex(cfg.structure.rho)) ** (1.0 / cfg.d)
+        scale = abs(complex(cfg.structure.args[0])) ** (1.0 / cfg.d)
         return Annulus.from_scale(0j, scale, delta), None
-    if kind == "toeplitz":
-        p = cfg.structure.symbol()
-        band = SymbolBand(p, delta)
-        exclusion = ExclusionSet.from_symbol(p, cfg.eps) if p.nontrivial_count >= 2 else None
-        return band, exclusion
-    raise ConfigError(f"unknown structure kind {kind!r}")
+    p = cfg.structure.symbol()
+    exclusion = ExclusionSet.from_symbol(p, cfg.eps) if p.nontrivial_count >= 2 else None
+    return SymbolBand(p, delta), exclusion
 
 
 @dataclass
@@ -318,6 +297,9 @@ class ConcentrationReport:
     failed_trials: int
     wall_time_s: float
     records: list = field(default_factory=list, repr=False)
+    # the classifying region and exclusion set, for the overlay; not serialised
+    region: object = field(default=None, repr=False)
+    exclusion: object = field(default=None, repr=False)
 
 
 def run_experiment(cfg: ExperimentConfig, threads=1) -> ConcentrationReport:
@@ -415,6 +397,8 @@ def run_experiment(cfg: ExperimentConfig, threads=1) -> ConcentrationReport:
         failed_trials=failed,
         wall_time_s=time.perf_counter() - start,
         records=records,
+        region=region,
+        exclusion=exclusion,
     )
 
 
@@ -472,16 +456,23 @@ def scaling_fit(structure: StructureSpec, dims, eps, trials, seed, threads=1,
     }
 
 
-def _stream_pairs(d, trials, seed, chunk=20000):
-    """Yield (u, v) chunks drawn trial-contiguously from stream (seed, 0),
-    so results do not depend on the chunk size."""
+def _stream_pairs(d, trials, seed, vectors=2, chunk=20000):
+    """Yield chunks of ``vectors`` arrays of shape (b, d), each trial's
+    vectors drawn contiguously from stream (seed, 0).  The chunk size is
+    part of the draw: Box-Muller splits each chunk's uniforms into radii
+    and phases, so another chunk size gives other draws."""
     rng = SeededRng(seed, 0)
     done = 0
     while done < trials:
         b = min(chunk, trials - done)
-        flat = rng.complex_normals(2 * b * d).reshape(b, 2, d)
-        yield flat[:, 0, :], flat[:, 1, :]
+        yield rng.complex_normals(vectors * b * d).reshape(b, vectors, d).swapaxes(0, 1)
         done += b
+
+
+def _shifted_overlap_moduli(d, k, trials, seed):
+    """Yield ``|v^dag J^k u|`` chunk by chunk, one entry per trial."""
+    for u, v in _stream_pairs(d, trials, seed):
+        yield np.abs(np.einsum("ij,ij->i", np.conj(v[:, : d - k]), u[:, k:]))
 
 
 def tail_norm_concentration(d, t_grid, trials, seed):
@@ -491,19 +482,12 @@ def tail_norm_concentration(d, t_grid, trials, seed):
     if d < 2:
         raise ShapeError("d must be at least 2")
     t_grid = np.asarray(t_grid, dtype=float)
-    rng = SeededRng(seed, 0)
     upper = np.zeros(t_grid.size)
     lower = np.zeros(t_grid.size)
-    done = 0
-    chunk = max(1, min(20000, trials))
-    while done < trials:
-        b = min(chunk, trials - done)
-        sq = np.abs(rng.complex_normals(b * d).reshape(b, d)) ** 2
-        norms = sq.sum(axis=1)
-        for j, t in enumerate(t_grid):
-            upper[j] += np.count_nonzero(norms - d >= t * d)
-            lower[j] += np.count_nonzero(norms - d <= -t * d)
-        done += b
+    for (xi,) in _stream_pairs(d, trials, seed, vectors=1):
+        excess = (np.abs(xi) ** 2).sum(axis=1) - d
+        upper += np.count_nonzero(excess >= t_grid[:, None] * d, axis=1)
+        lower += np.count_nonzero(excess <= -t_grid[:, None] * d, axis=1)
     rows = []
     for j, t in enumerate(t_grid):
         upper_exact = float(1.0 - special.gammainc(d, d * (1.0 + t)))
@@ -528,11 +512,8 @@ def tail_hanson_wright(d, k, t_grid, trials, seed):
         raise ShapeError("need 0 <= k <= d-1")
     t_grid = np.asarray(t_grid, dtype=float)
     counts = np.zeros(t_grid.size)
-    for u, v in _stream_pairs(d, trials, seed):
-        q = np.einsum("ij,ij->i", np.conj(v[:, : d - k]), u[:, k:])
-        mags = np.abs(q)
-        for j, t in enumerate(t_grid):
-            counts[j] += np.count_nonzero(mags >= t)
+    for mags in _shifted_overlap_moduli(d, k, trials, seed):
+        counts += np.count_nonzero(mags >= t_grid[:, None], axis=1)
     emp = counts / trials
     m = np.minimum(t_grid**2 / (d - k), t_grid)
     ok = emp > 0
@@ -561,11 +542,8 @@ def tail_carbery_wright(d, t_grid, trials, seed, k=1):
     t_grid = np.asarray(t_grid, dtype=float)
     frob = math.sqrt(d - k)
     counts = np.zeros(t_grid.size)
-    for u, v in _stream_pairs(d, trials, seed):
-        q = np.einsum("ij,ij->i", np.conj(v[:, : d - k]), u[:, k:])
-        mags = np.abs(q)
-        for j, t in enumerate(t_grid):
-            counts[j] += np.count_nonzero(mags <= t * frob)
+    for mags in _shifted_overlap_moduli(d, k, trials, seed):
+        counts += np.count_nonzero(mags <= t_grid[:, None] * frob, axis=1)
     emp = counts / trials
     ok = emp > 0
     if np.count_nonzero(ok) >= 2:
@@ -592,10 +570,8 @@ def tail_quadratic_form_diag(entries, t_grid, trials, seed):
     t_grid = np.asarray(t_grid, dtype=float)
     counts = np.zeros(t_grid.size)
     for u, v in _stream_pairs(d, trials, seed):
-        q = np.einsum("ij,j,ij->i", np.conj(v), gam, u)
-        mags = np.abs(q)
-        for j, t in enumerate(t_grid):
-            counts[j] += np.count_nonzero(mags >= t * d)
+        mags = np.abs(np.einsum("ij,j,ij->i", np.conj(v), gam, u))
+        counts += np.count_nonzero(mags >= t_grid[:, None] * d, axis=1)
     emp = counts / trials
     x = t_grid * math.sqrt(d)
     ok = (emp > 0) & (x > 0)

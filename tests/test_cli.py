@@ -7,6 +7,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import pseudoscope.cli as cli
+import pseudoscope.geometry as geometry
 from pseudoscope.cli import main
 from pseudoscope.report import read_eigenvalue_csv, verify_manifest
 
@@ -110,11 +112,12 @@ def test_malformed_config_exit_2_with_line(tmp_path, capsys):
 
 
 def test_bad_structure_reports_its_line(tmp_path, capsys):
-    bad = "[experiment]\nd = 20\neps = 2.0\nstructure = banana\n"
-    cfg = _write(tmp_path, bad)
-    assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "line 4" in err or "banana" in err
+    for structure in ("banana", "zero(3)", "jordan(5)", "toeplitz(3,0)", "jordan-corner(0)"):
+        bad = f"[experiment]\nd = 20\neps = 2.0\nstructure = {structure}\n"
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", _write(tmp_path, bad), "--out", str(out)]) == 2
+        assert "line 4" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -220,13 +223,38 @@ def test_oracle_check_passes_and_corrupt_hook_fails(tmp_path, monkeypatch, capsy
     for label in ("zero", "scalar(1+2j)", "diagonal(2,3)", "diagonal(1,2,3j)", "jordan"):
         assert f"oracle-check {label} " in out
     assert "toeplitz" not in out and "dense-qr" not in out
-    monkeypatch.setenv("PSEUDOSCOPE_ORACLE_CORRUPT", "1")
+    real = cli.solve
+
+    def corrupted(base, pert, route):
+        spectrum = real(base, pert, route)
+        if route != "dense-qr":
+            spectrum.eigenvalues = spectrum.eigenvalues.copy()
+            spectrum.eigenvalues[0] += 1e-5
+        return spectrum
+
+    monkeypatch.setattr(cli, "solve", corrupted)
     assert main(["oracle-check", "--d-max", "20", "--trials", "4"]) == 1
 
 
 def test_oracle_check_d_max_cap(capsys):
-    assert main(["oracle-check", "--d-max", "513", "--trials", "1"]) == 2
-    assert "512" in capsys.readouterr().err
+    for argv, needle in ((["--d-max", "513", "--trials", "1"], "512"),
+                         (["--d-max", "20", "--trials", "0"], "trials")):
+        assert main(["oracle-check", *argv]) == 2
+        assert needle in capsys.readouterr().err
+
+
+def test_experiment_builds_region_once(tmp_path, monkeypatch):
+    calls = {"n": 0}
+    real = geometry.critical_values
+
+    def counted(p):
+        calls["n"] += 1
+        return real(p)
+
+    monkeypatch.setattr(geometry, "critical_values", counted)
+    text = "[experiment]\nstructure = toeplitz(0,1,0.5,0.25)\nd = 30\neps = 2.0\ntrials = 3\n"
+    assert main(["experiment", "--config", _write(tmp_path, text), "--out", str(tmp_path / "o")]) == 0
+    assert calls["n"] == 1
 
 
 def test_threads_env_fallback(tmp_path, monkeypatch):

@@ -39,10 +39,11 @@ def test_structure_parsing_roundtrip():
                  "jordan-corner(0.5)", "toeplitz(3,2,1)"]:
         spec = StructureSpec.parse(text)
         assert StructureSpec.parse(spec.label()) == spec
-    with pytest.raises(ConfigError):
-        StructureSpec.parse("banana")
-    with pytest.raises(ConfigError):
-        StructureSpec.parse("scalar(1,2)")
+        assert spec.label() == text
+    for text in ["banana", "scalar(1,2)", "scalar", "diagonal()", "toeplitz(3)",
+                 "zero(3)", "jordan(5)", "toeplitz(3,0)", "jordan-corner(0)"]:
+        with pytest.raises(ValueError):
+            StructureSpec.parse(text)
 
 
 def test_diagonal_entry_split():
@@ -117,14 +118,31 @@ def test_failure_cap_aborts_run(monkeypatch):
         run_experiment(_cfg("jordan", 20, 30))
 
 
-def test_solver_structure_compatibility():
-    with pytest.raises(ConfigError):
-        run_experiment(_cfg("diagonal(2,3)", 10, 2, solver="jordan-poly"))
-    for structure in ("jordan", "toeplitz(3,2,1)", "jordan-corner(1)"):
-        with pytest.raises(ConfigError, match="resolvent-aberth"):
-            run_experiment(_cfg(structure, 10, 2, solver="resolvent-aberth"))
+_KIND_EXAMPLES = {
+    "zero": "zero",
+    "scalar": "scalar(1+2j)",
+    "diagonal": "diagonal(2,3)",
+    "jordan": "jordan",
+    "jordan-corner": "jordan-corner(1)",
+    "toeplitz": "toeplitz(3,2,1)",
+}
+
+
+@pytest.mark.parametrize("kind", list(exp.AUTO_SOLVER))
+def test_solver_structure_compatibility(kind):
+    structure = _KIND_EXAMPLES[kind]
+    assert StructureSpec.parse(structure).kind == kind
+    accepted = {exp.AUTO_SOLVER[kind], "dense-qr"}
+    for route in accepted:
+        assert exp.check_route(route, kind) == route
+        assert _cfg(structure, 10, 2, solver=route).solver == route
+    for route in set(exp.AUTO_SOLVER.values()) - accepted:
+        with pytest.raises(ConfigError, match=route):
+            exp.check_route(route, kind)
+        with pytest.raises(ConfigError, match=route):
+            run_experiment(_cfg(structure, 10, 2, solver=route))
     with pytest.raises(ConfigError, match="unknown solver 'bogus'"):
-        run_experiment(_cfg("jordan", 10, 2, solver="bogus"))
+        run_experiment(_cfg(structure, 10, 2, solver="bogus"))
 
 
 CUBIC = "toeplitz(0,1,0.5,0.25)"
@@ -162,7 +180,7 @@ def _assert_matches_dense(cfg, report):
 def test_auto_solver_policy(structure, route):
     cfg = _cfg(structure, 8, 2)
     assert cfg.resolved_solver() == route
-    assert cfg.structure.kind in exp.ROUTES[route]
+    assert exp.check_route(route, cfg.structure.kind) == route
     assert run_experiment(cfg).solver == route
 
 
@@ -269,6 +287,42 @@ def test_norm_tail_monotone_in_t():
     lows = [r["lower_empirical"] for r in table["rows"]]
     assert ups == sorted(ups, reverse=True)
     assert lows == sorted(lows, reverse=True)
+
+
+def test_tail_counts_match_per_trial_reference(monkeypatch):
+    # every table draws each chunk's trials contiguously from stream
+    # (seed, 0); with chunks of 7 trials it counts what a per-trial loop
+    # over the same chunked draw counts
+    d, k, trials, seed = 12, 3, 50, 23
+    grid = [0.05, 0.3, 0.6, 1.0, 2.5]
+    real = exp._stream_pairs
+    monkeypatch.setattr(exp, "_stream_pairs", lambda *a, **kw: real(*a, chunk=7, **kw))
+
+    def draws(vectors):
+        rng = SeededRng(seed, 0)
+        return np.concatenate([rng.complex_normals(vectors * b * d).reshape(b, vectors, d)
+                               for b in [7] * 7 + [1]])
+
+    xi = draws(1)[:, 0]
+    pairs = draws(2)
+    gam = np.arange(1, d + 1, dtype=complex)
+    excess = [np.sum(np.abs(x) ** 2) - d for x in xi]
+    shifted = [abs(np.sum(np.conj(v[: d - k]) * u[k:])) for u, v in pairs]
+    diag = [abs(np.sum(np.conj(v) * gam * u)) for u, v in pairs]
+
+    def frac(values, keep):
+        return [sum(keep(x, t) for x in values) / trials for t in grid]
+
+    norm = tail_norm_concentration(d, grid, trials, seed)["rows"]
+    assert [r["upper_empirical"] for r in norm] == frac(excess, lambda x, t: x >= t * d)
+    assert [r["lower_empirical"] for r in norm] == frac(excess, lambda x, t: x <= -t * d)
+    hw = tail_hanson_wright(d, k, grid, trials, seed)["rows"]
+    assert [r["empirical"] for r in hw] == frac(shifted, lambda x, t: x >= t)
+    cw = tail_carbery_wright(d, grid, trials, seed, k=k)["rows"]
+    frob = math.sqrt(d - k)
+    assert [r["smallball"] for r in cw] == frac(shifted, lambda x, t: x <= t * frob)
+    qf = tail_quadratic_form_diag(gam, grid, trials, seed)["rows"]
+    assert [r["empirical"] for r in qf] == frac(diag, lambda x, t: x >= t * d)
 
 
 def test_hw_tail_at_zero_and_monotone():

@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""Check that two source trees write byte-identical outputs.
+
+    python tools/compare_outputs.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are ``src`` directories holding a ``pseudoscope``
+package.  Every run below is made once from each tree, each in its own
+subprocess with that tree on ``PYTHONPATH`` and one BLAS thread, at seed
+2025: ``experiment`` on every structure kind (two diagonal and two
+Toeplitz cases), ``scaling`` on ``jordan`` and the five ``tails`` kinds.
+The script prints each output file whose sha256 differs, or that only one
+tree wrote, and exits 1 if there is any; a run that fails in either tree
+counts as a difference.
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEED = 2025
+EXPERIMENT_STRUCTURES = (
+    "zero", "scalar(1+2j)", "diagonal(2,3)", "diagonal(1,2,3j)", "jordan",
+    "jordan-corner(0.5)", "toeplitz(3,2,1)", "toeplitz(0,1,0.5,0.25)",
+)
+TAIL_KINDS = ("norm", "hw", "cw", "qf-diag", "corner")
+SINGLE_THREAD = {name: "1" for name in
+                 ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def runs():
+    """(name, command, config body) of every compared run."""
+    for structure in EXPERIMENT_STRUCTURES:
+        yield (f"experiment-{structure}", "experiment",
+               f"structure = {structure}\nd = 100\neps = 2.0\ntrials = 100\n")
+    yield ("scaling-jordan", "scaling",
+           "structure = jordan\ndims = 64,128,256\neps = 2.0\ntrials = 20\n")
+    for which in TAIL_KINDS:
+        # 45000 trials draw in three chunks of at most 20000
+        yield f"tails-{which}", "tails", f"which = {which}\nd = 40\ntrials = 45000\n"
+
+
+def run_tree(src, root):
+    """Run every config from the tree ``src`` into ``root``; return the
+    names of the runs that failed."""
+    env = {**os.environ, **SINGLE_THREAD, "PYTHONPATH": str(Path(src).resolve())}
+    root.mkdir()
+    failed = []
+    for name, command, body in runs():
+        cfg = root / f"{name}.cfg"
+        cfg.write_text(f"[experiment]\n{body}seed = {SEED}\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pseudoscope.cli", command, "--config", str(cfg),
+             "--out", str(root / name), "--threads", "1"],
+            cwd=root, env=env, capture_output=True, text=True,
+        )
+        if proc.returncode != 0:
+            print(f"{src}: {name} exited {proc.returncode}: {proc.stderr.strip()}")
+            failed.append(name)
+    return failed
+
+
+def digests(root):
+    """sha256 of every file under each run directory of ``root``."""
+    return {
+        str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.glob("*/*"))
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_src")
+    parser.add_argument("new_src")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        old_root, new_root = Path(tmp, "old"), Path(tmp, "new")
+        failed = run_tree(args.old_src, old_root) + run_tree(args.new_src, new_root)
+        old, new = digests(old_root), digests(new_root)
+    differing = sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
+    for name in differing:
+        print(f"differs: {name}")
+    identical = sum(digest == new.get(name) for name, digest in old.items())
+    print(f"{identical} files identical, {len(differing)} differ, {len(failed)} runs failed")
+    return 1 if differing or failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
