@@ -47,7 +47,6 @@ from .experiments import (
     ConcentrationReport,
     ExperimentConfig,
     StructureSpec,
-    TrialRecord,
     corner_annulus_probability,
     run_experiment,
     scaling_fit,

@@ -179,11 +179,11 @@ def cmd_experiment(args):
     out = _outdir(args)
     report = run_experiment(cfg, threads=_threads(args))
     csv_path = os.path.join(out, "eigenvalues.csv")
-    rp.write_eigenvalue_csv(csv_path, report.records)
+    rp.write_eigenvalue_csv(csv_path, report.indices, report.eigenvalues)
     rp.write_json(os.path.join(out, "report.json"), rp.report_to_json_dict(report))
     rp.write_scatter_svg(
         os.path.join(out, "scatter.svg"),
-        report.records,
+        report.eigenvalues,
         rp.region_overlay_curves(report.region, report.exclusion),
     )
     rp.write_manifest(out, ["eigenvalues.csv", "report.json", "scatter.svg"])
@@ -235,6 +235,8 @@ def cmd_tails(args):
     if args.seed is not None:
         seed = args.seed
     trials = _take(values, lines, "trials", int, default=100000)
+    if trials < 1:
+        raise ConfigError("trials must be positive", line=lines.get("trials"))
     k = _take(values, lines, "k", int, default=None)
     entries = _take(values, lines, "entries", _complex_list, default=None)
     delta = _take(values, lines, "delta", float, default=None)

@@ -2,9 +2,10 @@
 and empirical tail tables.
 
 Reproducibility: trial ``i`` of a run always draws from the stream
-``(seed, i)``; results are gathered in trial order and all statistics are
-computed single-threaded on the ordered records, so reports are identical
-for any worker count.
+``(seed, i)``.  Worker threads only sample and solve; the solved spectra
+are stacked in trial order into one ``(n, d)`` array, which is classified
+in one pass, and every statistic is a reduction of that array, so reports
+are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .spectra import (
 __all__ = [
     "StructureSpec",
     "ExperimentConfig",
-    "TrialRecord",
     "ConcentrationReport",
     "build_region",
     "check_route",
@@ -266,22 +266,11 @@ def build_region(cfg: ExperimentConfig):
 
 
 @dataclass
-class TrialRecord:
-    index: int
-    eigenvalues: np.ndarray
-    contained: bool
-    max_deviation: float
-    max_outward_deviation: float
-    n_contained: int
-    n_exclusion_only: int
-    deviations: np.ndarray = None
-    failed: bool = False
-    solver: str = ""
-    residual: float = 0.0
-
-
-@dataclass
 class ConcentrationReport:
+    """A run's statistics, and its solved trials as arrays: row k of
+    ``eigenvalues`` and ``deviations`` (n, d) and ``max_outward[k]`` belong
+    to trial ``indices[k]``; failed trials have no row."""
+
     structure: str
     d: int
     eps: float
@@ -296,107 +285,86 @@ class ConcentrationReport:
     exclusion_only_fraction: float
     failed_trials: int
     wall_time_s: float
-    records: list = field(default_factory=list, repr=False)
+    indices: np.ndarray = field(repr=False)
+    eigenvalues: np.ndarray = field(repr=False)
+    deviations: np.ndarray = field(repr=False)
+    max_outward: np.ndarray = field(repr=False)
     # the classifying region and exclusion set, for the overlay; not serialised
     region: object = field(default=None, repr=False)
     exclusion: object = field(default=None, repr=False)
 
 
-def run_experiment(cfg: ExperimentConfig, threads=1) -> ConcentrationReport:
-    """Run N independent perturbation trials and classify each spectrum
-    against the structure's concentration region.
+def _quantiles(x):
+    return {
+        "q50": float(np.quantile(x, 0.50)),
+        "q90": float(np.quantile(x, 0.90)),
+        "q99": float(np.quantile(x, 0.99)),
+        "max": float(np.max(x)),
+    }
 
-    Solver failures are recorded per trial and excluded from statistics;
-    more than 1% failed trials aborts the run.
+
+def run_experiment(cfg: ExperimentConfig, threads=1) -> ConcentrationReport:
+    """Run N independent perturbation trials, then classify every solved
+    eigenvalue of the run against the structure's concentration region in
+    one pass.
+
+    Worker threads only sample and solve.  A trial whose solve raises
+    :class:`ConvergenceError` is a failed trial and has no row in the
+    report's arrays; more than 1% failed trials aborts the run.
     """
     start = time.perf_counter()
     solver = cfg.resolved_solver()
-    structure = cfg.structure
     region, exclusion = build_region(cfg)
-    base = structure.base_matrix(cfg.d)
+    base = cfg.structure.base_matrix(cfg.d)
 
     def one_trial(i):
-        rng = SeededRng(cfg.seed, i)
-        pert = rank1_perturbation(cfg.d, cfg.eps, rng)
+        pert = rank1_perturbation(cfg.d, cfg.eps, SeededRng(cfg.seed, i))
         try:
-            spectrum = solve(base, pert, solver)
+            return solve(base, pert, solver).eigenvalues
         except ConvergenceError:
-            return TrialRecord(
-                index=i,
-                eigenvalues=np.array([], dtype=np.complex128),
-                contained=False,
-                max_deviation=math.nan,
-                max_outward_deviation=math.nan,
-                n_contained=0,
-                n_exclusion_only=0,
-                failed=True,
-                solver=solver,
-            )
-        lams = spectrum.eigenvalues
-        devs, outward, in_region = region.classify(lams)
-        if exclusion is not None:
-            in_exclusion = exclusion.mask(lams)
-        else:
-            in_exclusion = np.zeros(lams.size, dtype=bool)
-        inside = in_region | in_exclusion
-        return TrialRecord(
-            index=i,
-            eigenvalues=lams,
-            contained=bool(inside.all()),
-            max_deviation=float(np.max(devs)),
-            max_outward_deviation=float(np.max(outward)),
-            n_contained=int(np.count_nonzero(inside)),
-            n_exclusion_only=int(np.count_nonzero(in_exclusion & ~in_region)),
-            deviations=devs,
-            failed=False,
-            solver=solver,
-            residual=spectrum.residual,
-        )
+            return None
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one_trial, range(cfg.trials)))
+            spectra = list(pool.map(one_trial, range(cfg.trials)))
     else:
-        records = [one_trial(i) for i in range(cfg.trials)]
+        spectra = [one_trial(i) for i in range(cfg.trials)]
 
-    failed = sum(r.failed for r in records)
+    indices = np.flatnonzero([lams is not None for lams in spectra])
+    failed = cfg.trials - indices.size
     if failed > _FAILURE_CAP * cfg.trials:
         raise ExperimentError(
             f"{failed} of {cfg.trials} trials failed, above the {_FAILURE_CAP:.0%} cap"
         )
-    good = [r for r in records if not r.failed]
-    max_devs = np.array([r.max_deviation for r in good])
-    pooled = np.concatenate([r.deviations for r in good])
-    total_eigs = sum(r.eigenvalues.size for r in good)
-    contained_eigs = sum(r.n_contained for r in good)
-    exclusion_only = sum(r.n_exclusion_only for r in good)
-
-    def quantiles(x):
-        return {
-            "q50": float(np.quantile(x, 0.50)),
-            "q90": float(np.quantile(x, 0.90)),
-            "q99": float(np.quantile(x, 0.99)),
-            "max": float(np.max(x)),
-        }
+    # every spectrum has d values, and the cap leaves at least one trial
+    eigenvalues = np.stack([spectra[i] for i in indices])
+    flat = eigenvalues.reshape(-1)
+    devs, outward, in_region = region.classify(flat)
+    in_exclusion = exclusion.mask(flat) if exclusion is not None else np.zeros_like(in_region)
+    inside = in_region | in_exclusion
+    contained = inside.reshape(eigenvalues.shape).all(axis=1)
+    deviations = devs.reshape(eigenvalues.shape)
+    exclusion_only = np.count_nonzero(in_exclusion & ~in_region) / flat.size
 
     return ConcentrationReport(
-        structure=structure.label(),
+        structure=cfg.structure.label(),
         d=cfg.d,
         eps=cfg.eps,
         trials=cfg.trials,
         seed=cfg.seed,
         solver=solver,
         delta=cfg.resolved_delta(),
-        containment_fraction=sum(r.contained for r in good) / max(len(good), 1),
-        eigenvalue_containment_fraction=contained_eigs / max(total_eigs, 1),
-        deviation_quantiles=quantiles(max_devs),
-        pooled_eigenvalue_quantiles=quantiles(pooled),
-        exclusion_only_fraction=(exclusion_only / max(total_eigs, 1))
-        if exclusion is not None
-        else None,
+        containment_fraction=np.count_nonzero(contained) / indices.size,
+        eigenvalue_containment_fraction=np.count_nonzero(inside) / flat.size,
+        deviation_quantiles=_quantiles(deviations.max(axis=1)),
+        pooled_eigenvalue_quantiles=_quantiles(devs),
+        exclusion_only_fraction=exclusion_only if exclusion is not None else None,
         failed_trials=failed,
         wall_time_s=time.perf_counter() - start,
-        records=records,
+        indices=indices,
+        eigenvalues=eigenvalues,
+        deviations=deviations,
+        max_outward=outward.reshape(eigenvalues.shape).max(axis=1),
         region=region,
         exclusion=exclusion,
     )
@@ -423,15 +391,13 @@ def scaling_fit(structure: StructureSpec, dims, eps, trials, seed, threads=1,
             solver=solver,
         )
         report = run_experiment(cfg, threads=threads)
-        good = [r for r in report.records if not r.failed]
-        max_devs = np.array([r.max_deviation for r in good])
-        out_devs = np.array([r.max_outward_deviation for r in good])
+        max_devs = report.deviations.max(axis=1)
         per_dim.append(
             {
                 "d": d,
                 "median_deviation": float(np.median(max_devs)),
                 "q90_deviation": float(np.quantile(max_devs, 0.90)),
-                "median_outward_deviation": float(np.median(out_devs)),
+                "median_outward_deviation": float(np.median(report.max_outward)),
             }
         )
     logd = np.log([row["d"] for row in per_dim])

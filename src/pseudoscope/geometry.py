@@ -47,6 +47,15 @@ def separation_radius(centers):
     return float(np.min(d)) / 2.0
 
 
+def _nearest_distance(lams, points):
+    """Distance from each value to the nearest point (+inf with none), one
+    point at a time so that no values-by-points array is built."""
+    dist = np.full(lams.shape, np.inf)
+    for c in points:
+        np.minimum(dist, np.abs(lams - c), out=dist)
+    return dist
+
+
 @dataclass(frozen=True)
 class DiskUnion:
     """Union of open disks of a common radius around the given centers.
@@ -74,7 +83,7 @@ class DiskUnion:
         """The deviation is the distance to the nearest center, which is
         already one-sided, so it doubles as the outward excess."""
         lams = np.atleast_1d(np.asarray(lams, dtype=np.complex128))
-        dist = np.min(np.abs(lams[:, None] - self.centers[None, :]), axis=1)
+        dist = _nearest_distance(lams, self.centers)
         return dist, dist, dist < self.radius
 
 
@@ -165,12 +174,7 @@ class ExclusionSet:
 
     def mask(self, lams):
         lams = np.atleast_1d(np.asarray(lams, dtype=np.complex128))
-        if self.critical_points.size == 0:
-            return np.zeros(lams.size, dtype=bool)
-        return (
-            np.min(np.abs(lams[:, None] - self.critical_points[None, :]), axis=1)
-            < self.radius
-        )
+        return _nearest_distance(lams, self.critical_points) < self.radius
 
 
 def critical_values(p: PolySymbol):

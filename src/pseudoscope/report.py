@@ -21,16 +21,16 @@ REPORT_SCHEMA_VERSION = 2
 _CURVE_SAMPLES = 512
 
 
-def write_eigenvalue_csv(path, records):
-    """Columns trial,index,re,im; one row per eigenvalue, trial order."""
+def write_eigenvalue_csv(path, indices, eigenvalues):
+    """Columns trial,index,re,im; one row per eigenvalue, trial order.
+    Row k of ``eigenvalues`` belongs to trial ``indices[k]``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(["trial", "index", "re", "im"])
-        for rec in records:
-            if rec.failed:
-                continue
-            for j, lam in enumerate(rec.eigenvalues):
-                writer.writerow([rec.index, j, repr(float(lam.real)), repr(float(lam.imag))])
+        for trial, lams in zip(indices.tolist(), eigenvalues.tolist()):
+            writer.writerows(
+                [trial, j, repr(lam.real), repr(lam.imag)] for j, lam in enumerate(lams)
+            )
 
 
 def read_eigenvalue_csv(path):
@@ -123,16 +123,13 @@ def region_overlay_curves(region, exclusion=None):
     return curves
 
 
-def write_scatter_svg(path, records, curves, size=800, margin_frac=0.10):
+def write_scatter_svg(path, eigenvalues, curves, size=800, margin_frac=0.10):
     """Eigenvalue cloud as one circle element per point plus overlay paths.
 
     Axis ranges auto-fit the points and overlays with a 10% margin; the
     vertical axis is flipped so the upper half plane is on top.
     """
-    pts = np.concatenate(
-        [rec.eigenvalues for rec in records if not rec.failed]
-        or [np.zeros(1, dtype=np.complex128)]
-    )
+    pts = eigenvalues.reshape(-1)
     allz = [pts] + [np.asarray(c) for c in curves]
     re = np.concatenate([z.real for z in allz])
     im = np.concatenate([z.imag for z in allz])
@@ -160,14 +157,11 @@ def write_scatter_svg(path, records, curves, size=800, margin_frac=0.10):
         parts.append(
             f'<path d="M{coords} Z" fill="none" stroke="#c02020" stroke-width="1.2"/>\n'
         )
-    for rec in records:
-        if rec.failed:
-            continue
-        for lam in rec.eigenvalues:
-            parts.append(
-                f'<circle cx="{sx(lam.real):.2f}" cy="{sy(lam.imag):.2f}" '
-                f'r="1.4" fill="#1f4e9c" fill-opacity="0.5"/>\n'
-            )
+    for lam in pts:
+        parts.append(
+            f'<circle cx="{sx(lam.real):.2f}" cy="{sy(lam.imag):.2f}" '
+            f'r="1.4" fill="#1f4e9c" fill-opacity="0.5"/>\n'
+        )
     parts.append("</svg>\n")
     with open(path, "w") as fh:
         fh.write("".join(parts))

@@ -62,8 +62,9 @@ def test_eigenvalue_csv_roundtrips_exactly(tmp_path):
         )
     )
     parsed = read_eigenvalue_csv(os.path.join(out, "eigenvalues.csv"))
-    for rec in report.records:
-        assert np.array_equal(parsed[rec.index], rec.eigenvalues)
+    assert sorted(parsed) == report.indices.tolist()
+    for i, lams in zip(report.indices, report.eigenvalues):
+        assert np.array_equal(parsed[i], lams)
 
 
 def test_scatter_svg_well_formed_with_counts(tmp_path):
@@ -210,6 +211,18 @@ def test_tails_commands(tmp_path, which, extra):
     assert manifest["verdict"] in ("pass", "fail")
     if which == "norm":
         assert manifest["verdict"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "which,trials", [(which, 0) for which in cli.TAIL_KINDS] + [("norm", -5)]
+)
+def test_tails_rejects_nonpositive_trials(tmp_path, capsys, which, trials):
+    cfg = _write(tmp_path, f"[experiment]\nwhich = {which}\nd = 20\ntrials = {trials}\n")
+    out = tmp_path / "o"
+    assert main(["tails", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "line 4" in err and "trials" in err
+    assert not (out / "tails.csv").exists()
 
 
 def test_tails_unknown_which(tmp_path):

@@ -56,15 +56,16 @@ def test_diagonal_entry_split():
 def test_zero_structure_keeps_exact_zeros_and_identity():
     cfg = _cfg("zero", 50, 20)
     report = run_experiment(cfg)
-    rec = report.records[3]
-    assert np.count_nonzero(rec.eigenvalues == 0) == 49
+    assert report.indices[3] == 3
+    lams = report.eigenvalues[3]
+    assert np.count_nonzero(lams == 0) == 49
     # oracle: the moved eigenvalue is eps v^dag u / (|u||v|), recomputable
     # from the trial's own stream
     from pseudoscope.sampling import rank1_perturbation
 
     p = rank1_perturbation(50, 2.0, SeededRng(7, 3))
     expected = 2.0 * np.vdot(p.v, p.u) / (p.norm_u * p.norm_v)
-    moved = rec.eigenvalues[np.argmax(np.abs(rec.eigenvalues))]
+    moved = lams[np.argmax(np.abs(lams))]
     assert moved == pytest.approx(expected, abs=1e-12)
 
 
@@ -72,8 +73,8 @@ def test_report_reproducible_across_threads():
     cfg = _cfg("jordan", 24, 40)
     r1 = run_experiment(cfg, threads=1)
     r2 = run_experiment(cfg, threads=3)
-    for a, b in zip(r1.records, r2.records):
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+    assert np.array_equal(r1.indices, r2.indices)
+    assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
     assert r1.deviation_quantiles == r2.deviation_quantiles
 
 
@@ -158,10 +159,11 @@ def test_auto_solver_is_dense_for_cubic_symbol():
 
 def _assert_matches_dense(cfg, report):
     base = cfg.structure.base_matrix(cfg.d)
-    for rec in report.records:
-        pert = rank1_perturbation(cfg.d, cfg.eps, SeededRng(cfg.seed, rec.index))
+    assert report.indices.tolist() == list(range(cfg.trials))
+    for i, lams in zip(report.indices, report.eigenvalues):
+        pert = rank1_perturbation(cfg.d, cfg.eps, SeededRng(cfg.seed, i))
         want = np.linalg.eigvals(apply_perturbation(base, pert))
-        assert spectrum_match_distance(rec.eigenvalues, want) <= 1e-8
+        assert spectrum_match_distance(lams, want) <= 1e-8
 
 
 @pytest.mark.parametrize(
@@ -204,14 +206,16 @@ def test_cubic_band_classification_matches_per_value_roots():
     report = run_experiment(cfg)
     desc = [0.25, 0.5, 1.0, 0.0]
     crit = np.polyval(desc, np.roots(np.polyder(desc)))
-    for rec in report.records:
-        ref = np.array([_cubic_band_reference(lam) for lam in rec.eigenvalues])
-        assert np.max(np.abs(rec.deviations - ref[:, 0])) <= 1e-10
-        assert rec.max_outward_deviation == pytest.approx(ref[:, 1].max(), abs=1e-10)
-        in_band = ref[:, 0] < report.delta
-        in_exclusion = np.min(np.abs(rec.eigenvalues[:, None] - crit), axis=1) < cfg.eps
-        assert rec.n_contained == np.count_nonzero(in_band | in_exclusion)
-        assert rec.n_exclusion_only == np.count_nonzero(in_exclusion & ~in_band)
+    lams = report.eigenvalues
+    ref = np.array([[_cubic_band_reference(lam) for lam in row] for row in lams])
+    assert np.max(np.abs(report.deviations - ref[..., 0])) <= 1e-10
+    assert np.max(np.abs(report.max_outward - ref[..., 1].max(axis=1))) <= 1e-10
+    in_band = ref[..., 0] < report.delta
+    in_exclusion = np.min(np.abs(lams[..., None] - crit), axis=-1) < cfg.eps
+    inside = in_band | in_exclusion
+    assert report.eigenvalue_containment_fraction == np.mean(inside)
+    assert report.exclusion_only_fraction == np.mean(in_exclusion & ~in_band)
+    assert report.containment_fraction == np.mean(inside.all(axis=1))
     # next to a critical value two preimages nearly coincide
     band, _ = exp.build_region(cfg)
     lams = crit + 1e-7
@@ -222,25 +226,28 @@ def test_cubic_band_classification_matches_per_value_roots():
     assert np.array_equal(inside, ref[:, 0] < band.delta)
 
 
-def test_band_preimages_solved_once_per_trial(monkeypatch):
-    calls = {"n": 0}
-    real = geometry.symbol_preimages
+def test_band_preimages_solved_once_per_run(monkeypatch):
+    calls = {"preimages": 0, "classify": 0, "mask": 0}
 
-    def counted(p, lams):
-        calls["n"] += 1
-        return real(p, lams)
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
 
-    monkeypatch.setattr(geometry, "symbol_preimages", counted)
+    monkeypatch.setattr(geometry, "symbol_preimages",
+                        counted("preimages", geometry.symbol_preimages))
+    monkeypatch.setattr(geometry.SymbolBand, "classify",
+                        counted("classify", geometry.SymbolBand.classify))
+    monkeypatch.setattr(geometry.ExclusionSet, "mask",
+                        counted("mask", geometry.ExclusionSet.mask))
     cfg = _cfg(CUBIC, 40, 7)
     one = run_experiment(cfg, threads=1)
-    assert calls["n"] == 7
+    assert calls == {"preimages": 1, "classify": 1, "mask": 1}
     two = run_experiment(cfg, threads=2)
-    for a, b in zip(one.records, two.records):
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
-        assert np.array_equal(a.deviations, b.deviations)
-        assert (a.max_outward_deviation, a.n_contained, a.n_exclusion_only) == (
-            b.max_outward_deviation, b.n_contained, b.n_exclusion_only
-        )
+    assert calls == {"preimages": 2, "classify": 2, "mask": 2}
+    for name in ("indices", "eigenvalues", "deviations", "max_outward"):
+        assert np.array_equal(getattr(one, name), getattr(two, name))
     assert one.pooled_eigenvalue_quantiles == two.pooled_eigenvalue_quantiles
 
 
@@ -460,9 +467,8 @@ def test_zero_cloud_tightens_with_dimension():
     stds = {}
     for d in (100, 1000):
         report = run_experiment(_cfg("zero", d, 200, seed=23))
-        moved = np.array(
-            [r.eigenvalues[np.argmax(np.abs(r.eigenvalues))] for r in report.records]
-        )
+        lams = report.eigenvalues
+        moved = lams[np.arange(len(lams)), np.argmax(np.abs(lams), axis=1)]
         stds[d] = float(np.std(moved))
     ratio = stds[100] / stds[1000]
     assert ratio == pytest.approx(math.sqrt(10.0), rel=0.2)

@@ -60,6 +60,19 @@ def test_disk_union_membership_strict():
     assert not disks.classify(1.0)[2]
 
 
+def test_nearest_center_matches_broadcast_reference():
+    # a run's values are measured one center at a time; the result is the
+    # broadcast minimum over all centers, bit for bit
+    rng = np.random.default_rng(3)
+    lams = rng.standard_normal(500) + 1j * rng.standard_normal(500)
+    centers = np.arange(40) * 0.25 + 1j
+    ref = np.min(np.abs(lams[:, None] - centers[None, :]), axis=1)
+    dist, outward, inside = DiskUnion(centers, 0.1).classify(lams)
+    assert np.array_equal(dist, ref) and np.array_equal(outward, ref)
+    assert np.array_equal(inside, ref < 0.1)
+    assert np.array_equal(ExclusionSet(centers, 0.1).mask(lams), ref < 0.1)
+
+
 def test_annulus_membership():
     ann = Annulus.from_scale(0j, 1.0, 0.1)
     assert ann.classify(1.05)[2]

@@ -7,7 +7,10 @@ OLD_SRC and NEW_SRC are ``src`` directories holding a ``pseudoscope``
 package.  Every run below is made once from each tree, each in its own
 subprocess with that tree on ``PYTHONPATH`` and one BLAS thread, at seed
 2025: ``experiment`` on every structure kind (two diagonal and two
-Toeplitz cases), ``scaling`` on ``jordan`` and the five ``tails`` kinds.
+Toeplitz cases), ``scaling`` on ``jordan`` and the five ``tails`` kinds,
+all with ``--threads 1``, plus ``experiment`` on ``jordan`` and
+``toeplitz(0,1,0.5,0.25)`` with ``--threads 3``, so that a tree that
+splits work across threads differently is held to the same bytes.
 The script prints each output file whose sha256 differs, or that only one
 tree wrote, and exits 1 if there is any; a run that fails in either tree
 counts as a difference.
@@ -26,21 +29,25 @@ EXPERIMENT_STRUCTURES = (
     "zero", "scalar(1+2j)", "diagonal(2,3)", "diagonal(1,2,3j)", "jordan",
     "jordan-corner(0.5)", "toeplitz(3,2,1)", "toeplitz(0,1,0.5,0.25)",
 )
+THREADED_STRUCTURES = ("jordan", "toeplitz(0,1,0.5,0.25)")
 TAIL_KINDS = ("norm", "hw", "cw", "qf-diag", "corner")
 SINGLE_THREAD = {name: "1" for name in
                  ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
 def runs():
-    """(name, command, config body) of every compared run."""
+    """(name, command, config body, threads) of every compared run."""
     for structure in EXPERIMENT_STRUCTURES:
         yield (f"experiment-{structure}", "experiment",
-               f"structure = {structure}\nd = 100\neps = 2.0\ntrials = 100\n")
+               f"structure = {structure}\nd = 100\neps = 2.0\ntrials = 100\n", 1)
+    for structure in THREADED_STRUCTURES:
+        yield (f"experiment-{structure}-threads3", "experiment",
+               f"structure = {structure}\nd = 100\neps = 2.0\ntrials = 100\n", 3)
     yield ("scaling-jordan", "scaling",
-           "structure = jordan\ndims = 64,128,256\neps = 2.0\ntrials = 20\n")
+           "structure = jordan\ndims = 64,128,256\neps = 2.0\ntrials = 20\n", 1)
     for which in TAIL_KINDS:
         # 45000 trials draw in three chunks of at most 20000
-        yield f"tails-{which}", "tails", f"which = {which}\nd = 40\ntrials = 45000\n"
+        yield f"tails-{which}", "tails", f"which = {which}\nd = 40\ntrials = 45000\n", 1
 
 
 def run_tree(src, root):
@@ -49,12 +56,12 @@ def run_tree(src, root):
     env = {**os.environ, **SINGLE_THREAD, "PYTHONPATH": str(Path(src).resolve())}
     root.mkdir()
     failed = []
-    for name, command, body in runs():
+    for name, command, body, threads in runs():
         cfg = root / f"{name}.cfg"
         cfg.write_text(f"[experiment]\n{body}seed = {SEED}\n")
         proc = subprocess.run(
             [sys.executable, "-m", "pseudoscope.cli", command, "--config", str(cfg),
-             "--out", str(root / name), "--threads", "1"],
+             "--out", str(root / name), "--threads", str(threads)],
             cwd=root, env=env, capture_output=True, text=True,
         )
         if proc.returncode != 0:

@@ -9,10 +9,8 @@ numbers rounded up to two decimals.
 
 import numpy as np
 
-from pseudoscope import SeededRng, rank1_perturbation
-from pseudoscope.experiments import StructureSpec, ExperimentConfig, build_region
-from pseudoscope.sampling import apply_perturbation
 from pseudoscope import fixtures
+from pseudoscope.experiments import ExperimentConfig, StructureSpec, run_experiment
 
 D = fixtures.PILOT_DIM
 EPS = fixtures.PILOT_EPS
@@ -31,17 +29,10 @@ def main():
     print(f"pilot: d={D} eps={EPS} trials={TRIALS} seed={SEED} (dense solver)")
     for kind, spec in CASES.items():
         cfg = ExperimentConfig(
-            structure=spec, d=D, eps=EPS, trials=TRIALS, seed=SEED, region=0.5
+            structure=spec, d=D, eps=EPS, trials=TRIALS, seed=SEED,
+            solver="dense-qr", region=0.5,
         )
-        region, _ = build_region(cfg)
-        base = spec.base_matrix(D)
-        devs = []
-        for i in range(TRIALS):
-            rng = SeededRng(SEED, i)
-            pert = rank1_perturbation(D, EPS, rng)
-            lams = np.linalg.eigvals(apply_perturbation(base, pert))
-            devs.append(region.classify(lams)[0])
-        devs = np.concatenate(devs)
+        devs = run_experiment(cfg).deviations
         q999 = float(np.quantile(devs, 0.999))
         frozen = fixtures.AUTO_DELTA[kind]
         status = "ok" if q999 <= frozen else "STALE"
