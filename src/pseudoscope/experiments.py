@@ -422,6 +422,12 @@ def scaling_fit(structure: StructureSpec, dims, eps, trials, seed, threads=1,
     }
 
 
+def _check_trials(trials):
+    """Every tail table is a fraction over its trials, so it needs one."""
+    if trials < 1:
+        raise ConfigError("trials must be positive")
+
+
 def _stream_pairs(d, trials, seed, vectors=2, chunk=20000):
     """Yield chunks of ``vectors`` arrays of shape (b, d), each trial's
     vectors drawn contiguously from stream (seed, 0).  The chunk size is
@@ -447,6 +453,7 @@ def tail_norm_concentration(d, t_grid, trials, seed):
     """
     if d < 2:
         raise ShapeError("d must be at least 2")
+    _check_trials(trials)
     t_grid = np.asarray(t_grid, dtype=float)
     upper = np.zeros(t_grid.size)
     lower = np.zeros(t_grid.size)
@@ -476,6 +483,7 @@ def tail_hanson_wright(d, k, t_grid, trials, seed):
     least squares on the grid and recorded."""
     if not 0 <= k <= d - 1:
         raise ShapeError("need 0 <= k <= d-1")
+    _check_trials(trials)
     t_grid = np.asarray(t_grid, dtype=float)
     counts = np.zeros(t_grid.size)
     for mags in _shifted_overlap_moduli(d, k, trials, seed):
@@ -505,6 +513,7 @@ def tail_carbery_wright(d, t_grid, trials, seed, k=1):
     with the log-log slope fitted over grid points that received hits."""
     if not 0 <= k <= d - 1:
         raise ShapeError("need 0 <= k <= d-1")
+    _check_trials(trials)
     t_grid = np.asarray(t_grid, dtype=float)
     frob = math.sqrt(d - k)
     counts = np.zeros(t_grid.size)
@@ -531,6 +540,7 @@ def tail_carbery_wright(d, t_grid, trials, seed, k=1):
 def tail_quadratic_form_diag(entries, t_grid, trials, seed):
     """Empirical exceedance ``Pr(|v^dag D u| >= t d)`` for a fixed diagonal
     D, with the exponential decay rate fitted against ``t sqrt(d)``."""
+    _check_trials(trials)
     gam = np.asarray(entries, dtype=np.complex128).reshape(-1)
     d = gam.size
     t_grid = np.asarray(t_grid, dtype=float)
@@ -563,6 +573,7 @@ def corner_annulus_probability(d, delta, trials, seed):
     the exact value from the Rayleigh modulus law."""
     if d < 1:
         raise ShapeError("dimension must be positive")
+    _check_trials(trials)
     delta = float(delta)
     rng = SeededRng(seed, 0)
     rho = rng.complex_normals(trials)

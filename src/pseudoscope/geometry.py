@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConvergenceError, ShapeError
 from .linalg import PolySymbol, as_complex_vector
 from .spectra import MonicPolynomial, poly_roots
 
@@ -178,12 +178,20 @@ class ExclusionSet:
 
 
 def critical_values(p: PolySymbol):
-    """Images under p of the roots of p' (empty for a linear symbol)."""
+    """Images under p of the roots of p' (empty for a linear symbol).
+
+    A repeated critical point has no isolating inclusion disc, so
+    ``poly_roots`` rejects it; its companion-matrix roots, accurate to
+    about the square root of the rounding unit, stand in.
+    """
     dc = p.derivative_coeffs()
     if dc.size == 1:
         return np.array([], dtype=np.complex128)
     monic_tail = dc[:-1] / dc[-1]
-    roots = poly_roots(MonicPolynomial(monic_tail)).eigenvalues
+    try:
+        roots = poly_roots(MonicPolynomial(monic_tail)).eigenvalues
+    except ConvergenceError:
+        roots = np.polynomial.polynomial.polyroots(dc)
     return p(roots)
 
 

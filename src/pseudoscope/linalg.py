@@ -132,9 +132,10 @@ def jordan_quadratic_forms(u, v):
     """All shifted overlaps ``q_k = v^dag J^k u`` for ``k = 0 .. d-1``.
 
     ``J`` is the nilpotent block, so ``q_k`` reduces to the inner product of
-    ``v`` against ``u`` shifted by ``k`` positions; total cost O(d^2).
+    ``v`` against ``u`` shifted by ``k`` positions: the cross-correlation of
+    ``u`` with ``v`` (which ``np.correlate`` conjugates) at the lags
+    ``0 .. d-1``; total cost O(d^2).
     """
     u = as_complex_vector(u, name="u")
     v = as_complex_vector(v, dim=u.size, name="v")
-    d = u.size
-    return np.array([np.vdot(v[: d - k], u[k:]) for k in range(d)])
+    return np.correlate(u, v, "full")[u.size - 1 :]

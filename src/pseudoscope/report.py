@@ -33,18 +33,6 @@ def write_eigenvalue_csv(path, indices, eigenvalues):
             )
 
 
-def read_eigenvalue_csv(path):
-    """Inverse of write_eigenvalue_csv: {trial: complex ndarray}."""
-    out = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            out.setdefault(int(row["trial"]), []).append(
-                complex(float(row["re"]), float(row["im"]))
-            )
-    return {k: np.asarray(v, dtype=np.complex128) for k, v in out.items()}
-
-
 def report_to_json_dict(report):
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -86,17 +74,6 @@ def write_manifest(out_dir, filenames, extra=None):
     path = os.path.join(out_dir, "run_manifest.json")
     write_json(path, payload)
     return path
-
-
-def verify_manifest(out_dir):
-    with open(os.path.join(out_dir, "run_manifest.json")) as fh:
-        manifest = json.load(fh)
-    for name, digest in manifest["files"].items():
-        with open(os.path.join(out_dir, name), "rb") as fh:
-            actual = "sha256:" + hashlib.sha256(fh.read()).hexdigest()
-        if actual != digest:
-            return False
-    return True
 
 
 def _circle(center, radius, samples=_CURVE_SAMPLES):

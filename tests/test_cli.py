@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +12,30 @@ import pytest
 import pseudoscope.cli as cli
 import pseudoscope.geometry as geometry
 from pseudoscope.cli import main
-from pseudoscope.report import read_eigenvalue_csv, verify_manifest
+
+
+def read_eigenvalue_csv(path):
+    """Inverse of ``report.write_eigenvalue_csv``: {trial: complex ndarray}."""
+    out = {}
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            out.setdefault(int(row["trial"]), []).append(
+                complex(float(row["re"]), float(row["im"]))
+            )
+    return {k: np.asarray(v, dtype=np.complex128) for k, v in out.items()}
+
+
+def verify_manifest(out_dir):
+    """Whether every file in ``run_manifest.json`` has its listed checksum."""
+    with open(os.path.join(out_dir, "run_manifest.json")) as fh:
+        manifest = json.load(fh)
+    for name, digest in manifest["files"].items():
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            actual = "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+        if actual != digest:
+            return False
+    return True
+
 
 EXPERIMENT_CFG = """\
 [experiment]

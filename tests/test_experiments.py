@@ -332,6 +332,24 @@ def test_tail_counts_match_per_trial_reference(monkeypatch):
     assert [r["empirical"] for r in qf] == frac(diag, lambda x, t: x >= t * d)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+@pytest.mark.parametrize(
+    "table",
+    [
+        lambda n: tail_norm_concentration(10, [0.3], n, 1),
+        lambda n: tail_hanson_wright(10, 2, [1.0], n, 1),
+        lambda n: tail_carbery_wright(10, [0.1], n, 1),
+        lambda n: tail_quadratic_form_diag([1.0, 2.0], [0.5], n, 1),
+        lambda n: corner_annulus_probability(10, 0.3, n, 1),
+    ],
+    ids=["norm", "hw", "cw", "qf-diag", "corner"],
+)
+def test_tail_functions_reject_nonpositive_trials(table, trials):
+    # a tail table is a fraction over its trials; none would divide by zero
+    with pytest.raises(ConfigError, match="trials must be positive"):
+        table(trials)
+
+
 def test_hw_tail_at_zero_and_monotone():
     d = 50
     table = tail_hanson_wright(d, 0, [0.0, 4.0, 8.0, 12.0], 20_000, 19)

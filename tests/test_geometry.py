@@ -131,6 +131,14 @@ def test_critical_values_pure_cube():
     assert np.allclose(vals, 0.0, atol=1e-12)
 
 
+def test_critical_values_repeated_critical_point():
+    # p'(z) = (z - 1)^2 (z + 1): the double critical point 1 has no
+    # isolating disc, and its value p(1) = 5/12 still comes out twice
+    vals = critical_values(PolySymbol([0, 1, -0.5, -1 / 3, 0.25]))
+    assert vals.shape == (3,)
+    assert np.allclose(np.sort_complex(vals), [-11 / 12, 5 / 12, 5 / 12], atol=1e-12)
+
+
 def test_exclusion_set_membership():
     exc = ExclusionSet.from_symbol(PolySymbol([3, 2, 1]), 0.5)
     assert exc.mask(2.2)[0]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pseudoscope.spectra as spectra
 from pseudoscope import (
     ConvergenceError,
     MonicPolynomial,
@@ -82,6 +83,93 @@ def test_poly_roots_nonconvergence_error_carries_flags():
         poly_roots(MonicPolynomial(coeffs), max_sweeps=1)
     assert hasattr(info.value, "converged")
     assert info.value.converged.shape == (9,)
+
+
+def test_poly_roots_splits_off_exact_zero_roots():
+    # z^3 (z - 1)(z - 2)(z - 3j) (z + 4): three exact zeros, four iterated roots
+    expected = np.array([0, 0, 0, 1, 2, 3j, -4], dtype=complex)
+    full = np.polynomial.polynomial.polyfromroots(expected)
+    s = poly_roots(MonicPolynomial(full[:-1]))
+    assert np.count_nonzero(s.eigenvalues == 0) == 3
+    assert spectrum_match_distance(s.eigenvalues, expected) <= 1e-12
+    assert 0 < s.residual <= 1e-10
+
+
+def test_poly_roots_roots_spread_over_many_scales():
+    # the Newton polygon starts each scale on its own circle
+    expected = np.array([1e-4, 2e-4j, 1, -1, 1j, 0.5 + 0.5j, 1e4, -1e4j])
+    full = np.polynomial.polynomial.polyfromroots(expected)
+    s = poly_roots(MonicPolynomial(full[:-1]))
+    # each root to a small relative error, and (the discs being disjoint)
+    # each found once
+    for z in expected:
+        assert np.min(np.abs(s.eigenvalues - z)) <= 1e-9 * abs(z)
+
+
+def test_newton_polygon_starts_need_few_sweeps():
+    # the starts keep the sweep count flat in d (13 to 16 at d=256, eps=2)
+    for d in (64, 256):
+        full = charpoly_jordan_rank1(rank1_perturbation(d, 2.0, SeededRng(11, 0))).full_coeffs()
+        _, conv, sweeps = spectra._aberth_polynomial(full, spectra._newton_polygon_starts(full))
+        assert conv.all()
+        assert sweeps <= 30
+
+
+def test_poly_roots_rejects_double_root():
+    full = np.polynomial.polynomial.polyfromroots([1, 1, -2, 3j])
+    with pytest.raises(ConvergenceError):
+        poly_roots(MonicPolynomial(full[:-1]))
+
+
+def test_certificate_rejects_duplicated_root(monkeypatch):
+    # an iteration that claims convergence on two copies of the double root
+    # 1 of (z - 1)^2 (z + 2)(z - 3j) is caught by its overlapping discs
+    full = np.polynomial.polynomial.polyfromroots([1, 1, -2, 3j])
+    claimed = np.array([1, 1 + 1e-9, -2, 3j], dtype=complex)
+    monkeypatch.setattr(
+        spectra, "_aberth_polynomial",
+        lambda *args, **kwargs: (claimed, np.ones(4, dtype=bool), 1),
+    )
+    with pytest.raises(ConvergenceError, match="overlap") as info:
+        poly_roots(MonicPolynomial(full[:-1]))
+    assert info.value.radii.shape == (4,)
+
+
+@pytest.mark.parametrize("eps", [2.0, 1e-8])
+def test_jordan_poly_results_are_certified(eps):
+    # each root's inclusion disc is disjoint from the others, so each holds
+    # exactly one root; the residual is the largest radius
+    for d in (64, 256, 512):
+        for trial in range(3):
+            p = rank1_perturbation(d, eps, SeededRng(93, trial))
+            s = solve(jordan_nilpotent(d), p, "jordan-poly")
+            gaps = np.abs(s.eigenvalues[:, None] - s.eigenvalues[None, :])
+            np.fill_diagonal(gaps, np.inf)
+            assert 0 < s.residual <= 1e-8
+            assert 2 * s.residual < gaps.min()
+            trace = p.scale * np.vdot(p.v, p.u)
+            assert abs(np.sum(s.eigenvalues) - trace) <= 1e-10 * d
+
+
+def test_jordan_poly_closed_form_modulus_at_small_eps():
+    # at eps=1e-12 the constant term s conj(v_1) u_d dominates the
+    # characteristic polynomial, so the roots sit near the circle of radius
+    # r = |s conj(v_1) u_d|^(1/d).  Once r nears 1, a few roots per trial
+    # follow zeros of the overlap polynomial sum_k q_k lam^(d-1-k) inside
+    # that circle, so at d=48 and 256 only the bulk holds it and no root
+    # lies much outside it.
+    for d in (16, 48, 256):
+        within = []
+        for trial in range(10):
+            p = rank1_perturbation(d, 1e-12, SeededRng(0, trial))
+            lams = solve(jordan_nilpotent(d), p, "jordan-poly").eigenvalues
+            r = abs(p.scale * np.conj(p.v[0]) * p.u[-1]) ** (1.0 / d)
+            ratio = np.abs(lams) / r
+            assert ratio.max() <= 1.1
+            if d == 16:
+                assert ratio.min() >= 0.9
+            within.append(np.abs(ratio - 1) <= 0.05)
+        assert np.mean(within) >= 0.9
 
 
 def test_resolvent_vanishing_perturbation_keeps_diagonal():
