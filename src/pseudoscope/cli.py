@@ -16,9 +16,10 @@ import numpy as np
 
 from .errors import ConfigError, ExperimentError, ShapeError
 from .experiments import (
-    AUTO_SOLVER,
+    SOLVER_DENSE,
     ExperimentConfig,
     StructureSpec,
+    auto_route,
     check_route,
     corner_annulus_probability,
     default_trials,
@@ -32,7 +33,7 @@ from .experiments import (
 )
 from . import report as rp
 from .sampling import SeededRng, rank1_perturbation
-from .spectra import SOLVER_DENSE, spectrum_match_distance
+from .spectra import spectrum_match_distance
 
 EXIT_OK = 0
 EXIT_ORACLE = 1
@@ -43,8 +44,10 @@ THREADS_ENV = "PSEUDOSCOPE_THREADS"
 
 TAIL_KINDS = ("norm", "hw", "cw", "qf-diag", "corner")
 
-# oracle-check covers every structure whose auto route is not dense QR.
-ORACLE_STRUCTURES = ("zero", "scalar(1+2j)", "diagonal(2,3)", "diagonal(1,2,3j)", "jordan")
+# oracle-check covers every structure whose auto route is not dense QR:
+# one or two of each kind, and two linear symbols besides jordan.
+ORACLE_STRUCTURES = ("zero", "scalar(1+2j)", "diagonal(2,3)", "diagonal(1,2,3j)", "jordan",
+                     "toeplitz(3,2)", "toeplitz(1+1j,0.5-2j)")
 ORACLE_D_MAX = 512
 
 
@@ -157,7 +160,7 @@ def _experiment_config(args, need_dims=False):
         seed = args.seed
     trials = _take(values, lines, "trials", int)
     solver = _take(
-        values, lines, "solver", lambda s: check_route(s, structure.kind), default="auto"
+        values, lines, "solver", lambda s: check_route(s, structure), default="auto"
     )
     region = _take(values, lines, "region", _region_value, default="auto")
     dims = _take(values, lines, "dims", _int_list, default=None)
@@ -307,7 +310,7 @@ def cmd_oracle_check(args):
     rng = np.random.default_rng(12345)
     failed = False
     for spec in map(StructureSpec.parse, ORACLE_STRUCTURES):
-        route = AUTO_SOLVER[spec.kind]
+        route = auto_route(spec)
         dist_max = 0.0
         for trial in range(args.trials):
             d = int(rng.integers(5, args.d_max + 1))

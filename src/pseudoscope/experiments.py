@@ -28,12 +28,10 @@ from .geometry import (
     SymbolBand,
     separation_radius,
 )
-from .linalg import PolySymbol, jordan_corner, jordan_nilpotent, toeplitz_from_symbol
+from .linalg import PolySymbol, jordan_corner, toeplitz_from_symbol
 from .sampling import SeededRng, apply_perturbation, rank1_perturbation
 from .spectra import (
-    SOLVER_DENSE,
-    SOLVER_JORDAN_POLY,
-    SOLVER_RESOLVENT,
+    Spectrum,
     charpoly_jordan_rank1,
     dense_eigenvalues,
     eigen_resolvent_aberth,
@@ -45,6 +43,7 @@ __all__ = [
     "ExperimentConfig",
     "ConcentrationReport",
     "build_region",
+    "auto_route",
     "check_route",
     "solve",
     "run_experiment",
@@ -56,19 +55,10 @@ __all__ = [
     "corner_annulus_probability",
 ]
 
-# Route for ``solver = auto`` by structure kind; its keys are the kinds.
-# An explicit solver must be the kind's auto route or dense QR.  Diagonal
-# bases stay on the resolvent route, whose deflation to an m x m
-# eigenproblem makes the solve about 0.1 ms per trial at d=512 (dense QR:
-# about 73 ms).
-AUTO_SOLVER = {
-    "zero": SOLVER_RESOLVENT,
-    "scalar": SOLVER_RESOLVENT,
-    "diagonal": SOLVER_RESOLVENT,
-    "jordan": SOLVER_JORDAN_POLY,
-    "jordan-corner": SOLVER_DENSE,
-    "toeplitz": SOLVER_DENSE,
-}
+SOLVER_JORDAN_POLY = "jordan-poly"
+SOLVER_RESOLVENT = "resolvent-aberth"
+SOLVER_DENSE = "dense-qr"
+_ROUTES = (SOLVER_DENSE, SOLVER_JORDAN_POLY, SOLVER_RESOLVENT)
 
 # Fewest and most arguments of each structure kind.
 _ARITY = {
@@ -87,15 +77,40 @@ _DIAGONAL_KINDS = ("zero", "scalar", "diagonal")
 _FAILURE_CAP = 0.01
 
 
-def check_route(solver, kind):
-    """``solver`` itself if it is ``auto``, the kind's :data:`AUTO_SOLVER`
-    route or dense QR; a :class:`ConfigError` otherwise."""
-    if solver in ("auto", AUTO_SOLVER[kind], SOLVER_DENSE):
+def auto_route(structure):
+    """The route for ``solver = auto``: resolvent-aberth for a diagonal base,
+    jordan-poly for a degree-1 symbol (jordan too), dense QR otherwise."""
+    if structure.kind in _DIAGONAL_KINDS:
+        return SOLVER_RESOLVENT
+    symbol = structure.symbol()
+    if symbol is not None and symbol.degree == 1:
+        return SOLVER_JORDAN_POLY
+    return SOLVER_DENSE
+
+
+def check_route(solver, structure):
+    """``solver`` itself if it is ``auto``, the structure's
+    :func:`auto_route` or dense QR; a :class:`ConfigError` otherwise."""
+    if solver in ("auto", auto_route(structure), SOLVER_DENSE):
         return solver
-    routes = sorted(set(AUTO_SOLVER.values()))
-    if solver not in routes:
-        raise ConfigError(f"unknown solver {solver!r}; expected auto, " + ", ".join(routes))
-    raise ConfigError(f"the {solver} solver does not apply to the {kind} structure")
+    if solver not in _ROUTES:
+        raise ConfigError(f"unknown solver {solver!r}; expected auto, " + ", ".join(_ROUTES))
+    raise ConfigError(f"the {solver} solver does not apply to the {structure.label()} structure")
+
+
+def _linear_coefficients(base):
+    """``(a0, a1)`` of a base ``a0 I + a1 J`` with ``a1 != 0``, d >= 2; a
+    :class:`ShapeError` for any other base, which jordan-poly does not model."""
+    base = np.asarray(base)
+    if base.ndim != 2 or base.shape[0] != base.shape[1] or base.shape[0] < 2:
+        raise ShapeError(f"jordan-poly needs a square base with d >= 2, got {base.shape}")
+    diagonal, upper = np.diagonal(base), np.diagonal(base, 1)
+    a0, a1 = diagonal[0], upper[0]
+    # every other entry is zero when the two diagonals hold all the nonzeros
+    if (a1 == 0 or np.any(diagonal != a0) or np.any(upper != a1)
+            or np.count_nonzero(base) != np.count_nonzero(diagonal) + upper.size):
+        raise ShapeError("jordan-poly applies only to a base a0 I + a1 J with a1 != 0")
+    return a0, a1
 
 
 def solve(base, pert, route):
@@ -106,7 +121,10 @@ def solve(base, pert, route):
     patch of ``pseudoscope.experiments.<name>`` reaches every solve.
     """
     if route == SOLVER_JORDAN_POLY:
-        return poly_roots(charpoly_jordan_rank1(pert))
+        # a0 I + a1 J + E has the eigenvalues a0 + a1 nu of J + E / a1
+        a0, a1 = _linear_coefficients(base)
+        nu = poly_roots(charpoly_jordan_rank1(pert, pert.scale / a1))
+        return Spectrum(a0 + a1 * nu.eigenvalues, abs(a1) * nu.residual)
     if route == SOLVER_RESOLVENT:
         return eigen_resolvent_aberth(base, pert)
     if route == SOLVER_DENSE:
@@ -130,7 +148,7 @@ class StructureSpec:
     scalar(C)              exactly one: C times the identity
     diagonal(g1, .., gm)   one or more distinct values, split evenly down
                            the diagonal
-    jordan                 no arguments; the nilpotent Jordan block
+    jordan                 no arguments; the nilpotent block, symbol p(z) = z
     jordan-corner(rho)     exactly one, rho != 0: the block with rho in the
                            bottom-left corner
     toeplitz(a0, .., an)   two or more ascending symbol coefficients, the
@@ -171,9 +189,10 @@ class StructureSpec:
         return f"{self.kind}(" + ",".join(_fmt_complex(a) for a in self.args) + ")"
 
     def symbol(self):
-        if self.kind != "toeplitz":
-            raise ShapeError("only toeplitz structures carry a symbol")
-        return PolySymbol(np.asarray(self.args))
+        """The symbol of a jordan or toeplitz base; None for the others."""
+        if self.kind not in ("jordan", "toeplitz"):
+            return None
+        return PolySymbol(np.asarray(self.args or (0, 1)))
 
     def diagonal_entries(self, d):
         """Full length-d diagonal with the entries split as evenly as
@@ -192,8 +211,6 @@ class StructureSpec:
         array otherwise."""
         if self.kind in _DIAGONAL_KINDS:
             return self.diagonal_entries(d)
-        if self.kind == "jordan":
-            return jordan_nilpotent(d)
         if self.kind == "jordan-corner":
             return jordan_corner(d, self.args[0])
         return toeplitz_from_symbol(self.symbol(), d)
@@ -228,15 +245,16 @@ class ExperimentConfig:
             raise ConfigError("eps must be positive")
         if self.trials < 1:
             raise ConfigError("trials must be positive")
-        if self.structure.kind == "toeplitz" and len(self.structure.args) - 1 > self.d - 1:
+        symbol = self.structure.symbol()
+        if symbol is not None and symbol.degree > self.d - 1:
             raise ConfigError("symbol degree must be below the dimension")
-        check_route(self.solver, self.structure.kind)
+        check_route(self.solver, self.structure)
 
     def resolved_solver(self):
-        """The route for ``solver = auto``, from :data:`AUTO_SOLVER`."""
+        """The route for ``solver = auto``, from :func:`auto_route`."""
         if self.solver != "auto":
             return self.solver
-        return AUTO_SOLVER[self.structure.kind]
+        return auto_route(self.structure)
 
     def resolved_delta(self):
         if self.region == "auto":
@@ -249,14 +267,13 @@ class ExperimentConfig:
 
 
 def build_region(cfg: ExperimentConfig):
-    """The containment region and (for general symbols) the exclusion set."""
+    """The containment region and (for symbols with critical values) the
+    exclusion set; jordan's band is the annulus ``||lam| - 1| < delta``."""
     kind = cfg.structure.kind
     delta = cfg.resolved_delta()
     if kind in _DIAGONAL_KINDS:
         centers = np.unique(np.asarray(cfg.structure.diagonal_entries(cfg.d)))
         return DiskUnion(centers, delta), None
-    if kind == "jordan":
-        return Annulus.from_scale(0j, 1.0, delta), None
     if kind == "jordan-corner":
         scale = abs(complex(cfg.structure.args[0])) ** (1.0 / cfg.d)
         return Annulus.from_scale(0j, scale, delta), None

@@ -91,15 +91,14 @@ class DiskUnion:
 class Annulus:
     """Open annulus ``inner < |lam - center| < outer``.
 
-    ``ref`` is the radius of the reference circle used for deviation
-    measurements; it defaults to the midpoint and is kept separately so a
-    clamped inner radius does not shift it.
+    ``ref`` is the radius of the reference circle that deviations are
+    measured from; it is not the midpoint once the inner radius clamps.
     """
 
     center: complex
     inner: float
     outer: float
-    ref: float = None
+    ref: float
 
     def __post_init__(self):
         object.__setattr__(self, "center", complex(self.center))
@@ -107,16 +106,13 @@ class Annulus:
         object.__setattr__(self, "outer", float(self.outer))
         if not 0 <= self.inner < self.outer:
             raise ShapeError("annulus needs 0 <= inner < outer")
-        if self.ref is None:
-            object.__setattr__(self, "ref", (self.inner + self.outer) / 2.0)
-        else:
-            object.__setattr__(self, "ref", float(self.ref))
+        object.__setattr__(self, "ref", float(self.ref))
 
     @classmethod
     def from_scale(cls, center, scale, delta):
         """Annulus of relative half-width ``delta`` around the circle of
         radius ``scale``; the inner radius clamps at 0 for ``delta >= 1``."""
-        return cls(center, scale * max(0.0, 1.0 - delta), scale * (1.0 + delta), ref=scale)
+        return cls(center, scale * max(0.0, 1.0 - delta), scale * (1.0 + delta), scale)
 
     def classify(self, lams):
         """Deviation ``| |lam - center| - ref |`` from the reference circle."""
@@ -128,18 +124,18 @@ class Annulus:
 
 @dataclass(frozen=True)
 class SymbolBand:
-    """Image of the thin annulus ``||z| - 1| < delta`` under the symbol map;
-    membership is decided through preimage moduli."""
+    """Image of the annulus ``||z| - 1| < delta`` under the symbol map (for
+    ``delta >= 1``, of the disk ``|z| < 1 + delta``); membership is decided
+    through preimage moduli.  For ``p(z) = z`` it is the annulus around the
+    unit circle."""
 
     symbol: PolySymbol
     delta: float
 
     def __post_init__(self):
-        if not isinstance(self.symbol, PolySymbol):
-            object.__setattr__(self, "symbol", PolySymbol(np.asarray(self.symbol)))
         object.__setattr__(self, "delta", float(self.delta))
-        if not 0 < self.delta < 1:
-            raise ShapeError("band half-width must lie in (0, 1)")
+        if self.delta <= 0:
+            raise ShapeError("band half-width must be positive")
 
     def classify(self, lams):
         """Measured at the preimage whose modulus is nearest 1: deviation

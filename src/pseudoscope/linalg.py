@@ -118,8 +118,6 @@ def toeplitz_from_symbol(p, d):
     """Upper-triangular Toeplitz matrix whose k-th superdiagonal carries the
     symbol coefficient ``a_k``; equals the symbol evaluated at the nilpotent
     block."""
-    if not isinstance(p, PolySymbol):
-        p = PolySymbol(np.asarray(p))
     if p.degree > d - 1:
         raise ShapeError(f"symbol degree {p.degree} needs dimension > {p.degree}, got {d}")
     a = np.zeros((d, d), dtype=np.complex128)

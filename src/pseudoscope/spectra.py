@@ -2,11 +2,12 @@
 
 Three routes:
 
-* ``jordan-poly``: expand the closed-form characteristic polynomial of a
-  rank-1 perturbed nilpotent block, run Aberth-Ehrlich iteration from the
-  Newton polygon's starting points (6 to 18 sweeps at every d from 64
-  to 512) and certify the roots with disjoint Weierstrass inclusion
-  discs,
+* ``jordan-poly``: for a base ``a0 I + a1 J`` (``jordan``, ``p(z) = z``,
+  and every degree-1 symbol), the eigenvalues ``a0 + a1 nu``, where ``nu``
+  are the roots of the closed-form characteristic polynomial of
+  ``J + E / a1``, found by Aberth-Ehrlich iteration from the Newton
+  polygon's starting points (6 to 18 sweeps at every d from 64 to 512)
+  and certified with disjoint Weierstrass inclusion discs,
 * ``resolvent-aberth``: for a diagonal base, deflate repeated diagonal
   values exactly and take the moved roots as the eigenvalues of one
   m x m matrix over the m distinct values (about 0.1 ms per trial for
@@ -14,8 +15,8 @@ Three routes:
 * ``dense-qr``: LAPACK's Hessenberg-QR eigensolver, the route for every
   other base and the cross-validation oracle.
 
-``pseudoscope.experiments`` maps each structure kind to the routes that
-accept it and dispatches through ``solve``.
+``pseudoscope.experiments.auto_route`` picks a structure's route, and
+``solve`` dispatches to it.
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ __all__ = [
     "dense_eigenvalues",
     "spectrum_match_distance",
 ]
-
-SOLVER_JORDAN_POLY = "jordan-poly"
-SOLVER_RESOLVENT = "resolvent-aberth"
-SOLVER_DENSE = "dense-qr"
 
 _ANGLE_OFFSET = 0.37  # radians; breaks root symmetry in circular starts
 
@@ -64,35 +61,29 @@ class MonicPolynomial:
         """Ascending coefficients including the leading 1."""
         return np.concatenate([self.coeffs, [1.0 + 0j]])
 
-    def __call__(self, z):
-        return np.polynomial.polynomial.polyval(z, self.full_coeffs())
-
 
 @dataclass
 class Spectrum:
-    """Eigenvalue multiset of one perturbed matrix with solver provenance."""
+    """Eigenvalue multiset of one perturbed matrix and the route's residual."""
 
     eigenvalues: np.ndarray
-    solver: str
     residual: float
 
     def __post_init__(self):
         self.eigenvalues = as_complex_vector(self.eigenvalues, name="eigenvalues")
         self.residual = float(self.residual)
 
-    def __len__(self):
-        return self.eigenvalues.size
 
-
-def charpoly_jordan_rank1(p: RankOnePerturbation) -> MonicPolynomial:
-    """Characteristic polynomial of ``J + eps u v^dag / (|u| |v|)``.
+def charpoly_jordan_rank1(p: RankOnePerturbation, scale=None) -> MonicPolynomial:
+    """Characteristic polynomial of ``J + s u v^dag``, with ``s`` the given
+    ``scale`` or by default ``p.scale = eps / (|u| |v|)``.
 
     The determinant lemma against the nilpotent resolvent collapses the
     determinant to ``lam^d - s * sum_k q_k lam^{d-1-k}`` with
-    ``q_k = v^dag J^k u`` and ``s = eps / (|u| |v|)``.
+    ``q_k = v^dag J^k u``.
     """
     q = jordan_quadratic_forms(p.u, p.v)
-    return MonicPolynomial(-p.scale * q[::-1])
+    return MonicPolynomial(-(p.scale if scale is None else scale) * q[::-1])
 
 
 def _quadratic_roots(b, c):
@@ -231,7 +222,7 @@ def poly_roots(p: MonicPolynomial, max_sweeps=500) -> Spectrum:
     full = full[m:]
     zeros = np.zeros(m, dtype=np.complex128)
     if m == d:
-        return Spectrum(zeros, SOLVER_JORDAN_POLY, 0.0)
+        return Spectrum(zeros, 0.0)
     if full.size == 2:
         roots = np.array([-full[0]])
     elif full.size == 3:
@@ -247,7 +238,7 @@ def poly_roots(p: MonicPolynomial, max_sweeps=500) -> Spectrum:
                 roots=np.concatenate([zeros, roots]),
             )
     radius = _certificate_radius(full, roots)
-    return Spectrum(np.concatenate([zeros, roots]), SOLVER_JORDAN_POLY, radius)
+    return Spectrum(np.concatenate([zeros, roots]), radius)
 
 
 def eigen_resolvent_aberth(diag, p: RankOnePerturbation) -> Spectrum:
@@ -272,19 +263,13 @@ def eigen_resolvent_aberth(diag, p: RankOnePerturbation) -> Spectrum:
     np.add.at(weights, inverse, np.conj(p.v) * p.u)
     moved = np.linalg.eigvals(np.diag(values) + p.scale * np.outer(weights, np.ones(m)))
     roots = np.concatenate([moved, np.repeat(values, counts - 1)])
-    return Spectrum(roots, SOLVER_RESOLVENT, 0.0)
+    return Spectrum(roots, 0.0)
 
 
 def dense_eigenvalues(a) -> Spectrum:
-    """All eigenvalues via the dense Hessenberg-QR route (LAPACK).
-
-    Exactly upper-triangular inputs short-circuit to their diagonal.  The
-    residual is reported as 0.
-    """
-    a = as_complex_matrix(a)
-    if np.all(np.tril(a, -1) == 0):
-        return Spectrum(np.diagonal(a).copy(), SOLVER_DENSE, 0.0)
-    return Spectrum(np.linalg.eigvals(a), SOLVER_DENSE, 0.0)
+    """All eigenvalues via the dense Hessenberg-QR route (LAPACK); the
+    residual is reported as 0."""
+    return Spectrum(np.linalg.eigvals(as_complex_matrix(a)), 0.0)
 
 
 def _as_eigenvalue_array(s):

@@ -31,7 +31,7 @@ from pseudoscope import (
     two_block_eigenvalues,
 )
 from pseudoscope import fixtures
-from pseudoscope.experiments import AUTO_SOLVER, solve
+from pseudoscope.experiments import auto_route, solve
 from pseudoscope.cli import main as cli_main
 
 SEED = 2025
@@ -96,7 +96,7 @@ def test_criterion_03_cross_solver_equivalence():
         d = int(rng.integers(5, 51))
         pert = rank1_perturbation(d, 2.0, SeededRng(SEED, trial))
         base = spec.base_matrix(d)
-        fast = solve(base, pert, AUTO_SOLVER[spec.kind])
+        fast = solve(base, pert, auto_route(spec))
         dense = solve(base, pert, "dense-qr")
         scale = 1.0 + float(np.max(np.abs(dense.eigenvalues)))
         dist = spectrum_match_distance(fast, dense)

@@ -149,7 +149,7 @@ def test_bad_structure_reports_its_line(tmp_path, capsys):
 @pytest.mark.parametrize(
     "structure, solver",
     [("jordan", "bogus"), ("jordan", "resolvent-aberth"),
-     ("toeplitz(3,2,1)", "resolvent-aberth")],
+     ("toeplitz(3,2,1)", "resolvent-aberth"), ("toeplitz(3,2,1)", "jordan-poly")],
 )
 def test_solver_outside_route_table_exit_2_with_line(tmp_path, capsys, structure, solver):
     text = f"[experiment]\nstructure = {structure}\nd = 20\neps = 2.0\nsolver = {solver}\n"
@@ -258,9 +258,10 @@ def test_tails_unknown_which(tmp_path):
 def test_oracle_check_passes_and_corrupt_hook_fails(tmp_path, monkeypatch, capsys):
     assert main(["oracle-check", "--d-max", "20", "--trials", "4"]) == 0
     out = capsys.readouterr().out
-    for label in ("zero", "scalar(1+2j)", "diagonal(2,3)", "diagonal(1,2,3j)", "jordan"):
+    for label in ("zero", "scalar(1+2j)", "diagonal(2,3)", "diagonal(1,2,3j)", "jordan",
+                  "toeplitz(3,2)", "toeplitz(1+1j,0.5-2j)"):
         assert f"oracle-check {label} " in out
-    assert "toeplitz" not in out and "dense-qr" not in out
+    assert "toeplitz(3,2) (jordan-poly)" in out and "dense-qr" not in out
     real = cli.solve
 
     def corrupted(base, pert, route):

@@ -129,21 +129,34 @@ _KIND_EXAMPLES = {
 }
 
 
-@pytest.mark.parametrize("kind", list(exp.AUTO_SOLVER))
+ROUTES = {"resolvent-aberth", "jordan-poly", "dense-qr"}
+
+
+@pytest.mark.parametrize("kind", list(_KIND_EXAMPLES))
 def test_solver_structure_compatibility(kind):
     structure = _KIND_EXAMPLES[kind]
-    assert StructureSpec.parse(structure).kind == kind
-    accepted = {exp.AUTO_SOLVER[kind], "dense-qr"}
+    spec = StructureSpec.parse(structure)
+    assert spec.kind == kind
+    accepted = {exp.auto_route(spec), "dense-qr"}
     for route in accepted:
-        assert exp.check_route(route, kind) == route
+        assert exp.check_route(route, spec) == route
         assert _cfg(structure, 10, 2, solver=route).solver == route
-    for route in set(exp.AUTO_SOLVER.values()) - accepted:
+    for route in ROUTES - accepted:
         with pytest.raises(ConfigError, match=route):
-            exp.check_route(route, kind)
+            exp.check_route(route, spec)
         with pytest.raises(ConfigError, match=route):
             run_experiment(_cfg(structure, 10, 2, solver=route))
     with pytest.raises(ConfigError, match="unknown solver 'bogus'"):
         run_experiment(_cfg(structure, 10, 2, solver="bogus"))
+
+
+def test_linear_symbol_accepts_jordan_poly():
+    # the route follows the symbol's degree, not the kind
+    for structure in ("toeplitz(3,2)", "toeplitz(1+1j,0.5-2j)"):
+        cfg = _cfg(structure, 10, 2, solver="jordan-poly")
+        assert run_experiment(cfg).solver == "jordan-poly"
+    with pytest.raises(ConfigError, match="jordan-poly"):
+        _cfg("toeplitz(3,2,1)", 10, 2, solver="jordan-poly")
 
 
 CUBIC = "toeplitz(0,1,0.5,0.25)"
@@ -174,7 +187,8 @@ def _assert_matches_dense(cfg, report):
         ("diagonal(2,3)", "resolvent-aberth"),
         ("jordan", "jordan-poly"),
         ("jordan-corner(0.5)", "dense-qr"),
-        ("toeplitz(3,2)", "dense-qr"),
+        ("toeplitz(3,2)", "jordan-poly"),
+        ("toeplitz(1+1j,0.5-2j)", "jordan-poly"),
         ("toeplitz(3,2,1)", "dense-qr"),
         (CUBIC, "dense-qr"),
     ],
@@ -182,7 +196,7 @@ def _assert_matches_dense(cfg, report):
 def test_auto_solver_policy(structure, route):
     cfg = _cfg(structure, 8, 2)
     assert cfg.resolved_solver() == route
-    assert exp.check_route(route, cfg.structure.kind) == route
+    assert exp.check_route(route, cfg.structure) == route
     assert run_experiment(cfg).solver == route
 
 
@@ -468,6 +482,10 @@ def test_config_validation():
         _cfg("jordan", 0, 5)
     with pytest.raises(ConfigError):
         _cfg("toeplitz(1,2,3,4)", 3, 5)
+    # jordan is the degree-1 symbol p(z) = z; at d=1 its matrix is zero's
+    with pytest.raises(ConfigError, match="symbol degree"):
+        _cfg("jordan", 1, 5)
+    assert _cfg("zero", 1, 5).d == 1
     assert exp.default_trials(100) == 1000
     assert exp.default_trials(512) == 100
 

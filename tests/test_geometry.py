@@ -106,13 +106,16 @@ def test_band_quadratic_example_outside():
 
 
 def test_band_reduces_to_annulus_for_identity_symbol():
+    # jordan's region is the band of p(z) = z; it classifies exactly as the
+    # annulus around the unit circle, also past the half-width 1 where the
+    # annulus's inner radius clamps at 0
     rng = np.random.default_rng(11)
-    band = SymbolBand(PolySymbol([0, 1]), 0.2)
-    ann = Annulus.from_scale(0j, 1.0, 0.2)
     lams = 2.5 * (rng.standard_normal(10_000) + 1j * rng.standard_normal(10_000))
-    got = band.classify(lams)[2]
-    want = ann.classify(lams)[2]
-    assert np.array_equal(got, want)
+    for delta in (0.2, 1.5):
+        got = SymbolBand(PolySymbol([0, 1]), delta).classify(lams)
+        want = Annulus.from_scale(0j, 1.0, delta).classify(lams)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 def test_critical_values_linear_empty():

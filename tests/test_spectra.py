@@ -135,20 +135,28 @@ def test_certificate_rejects_duplicated_root(monkeypatch):
     assert info.value.radii.shape == (4,)
 
 
+LINEAR_SYMBOLS = ("jordan", "toeplitz(3,2)", "toeplitz(1+1j,0.5-2j)")
+
+
 @pytest.mark.parametrize("eps", [2.0, 1e-8])
 def test_jordan_poly_results_are_certified(eps):
     # each root's inclusion disc is disjoint from the others, so each holds
-    # exactly one root; the residual is the largest radius
-    for d in (64, 256, 512):
-        for trial in range(3):
-            p = rank1_perturbation(d, eps, SeededRng(93, trial))
-            s = solve(jordan_nilpotent(d), p, "jordan-poly")
-            gaps = np.abs(s.eigenvalues[:, None] - s.eigenvalues[None, :])
-            np.fill_diagonal(gaps, np.inf)
-            assert 0 < s.residual <= 1e-8
-            assert 2 * s.residual < gaps.min()
-            trace = p.scale * np.vdot(p.v, p.u)
-            assert abs(np.sum(s.eigenvalues) - trace) <= 1e-10 * d
+    # exactly one root; the residual is the largest radius, scaled by |a1|.
+    # jordan is a0 = 0, a1 = 1; every linear symbol a0 + a1 z runs the same
+    # route, and its power sum is d a0 + s v^dag u
+    for structure in map(StructureSpec.parse, LINEAR_SYMBOLS):
+        a0, a1 = structure.symbol().coeffs
+        for d in (64, 256, 512):
+            base = structure.base_matrix(d)
+            for trial in range(3):
+                p = rank1_perturbation(d, eps, SeededRng(93, trial))
+                s = solve(base, p, "jordan-poly")
+                gaps = np.abs(s.eigenvalues[:, None] - s.eigenvalues[None, :])
+                np.fill_diagonal(gaps, np.inf)
+                assert 0 < s.residual <= 1e-8 * abs(a1)
+                assert 2 * s.residual < gaps.min()
+                trace = d * a0 + p.scale * np.vdot(p.v, p.u)
+                assert abs(np.sum(s.eigenvalues) - trace) <= 1e-10 * d * (1 + abs(a0))
 
 
 def test_jordan_poly_closed_form_modulus_at_small_eps():
@@ -202,16 +210,24 @@ def test_resolvent_rejects_triangular_base():
         eigen_resolvent_aberth(np.diag(values), p)
 
 
+def test_jordan_poly_rejects_base_it_does_not_model():
+    # the route models a0 I + a1 J only; a corner entry, a second
+    # superdiagonal, a diagonal or a 1-D base would be silently dropped
+    d = 40
+    p = rank1_perturbation(d, 2.0, SeededRng(79, 1))
+    values = StructureSpec.parse("diagonal(2,3)").diagonal_entries(d)
+    for t in (jordan_corner(d, 0.5), toeplitz_from_symbol(PolySymbol([3, 2, 1]), d),
+              np.diag(values), np.zeros((d, d)), values, np.ones(1)):
+        with pytest.raises(ShapeError):
+            solve(t, p, "jordan-poly")
+    for t in (jordan_nilpotent(d), toeplitz_from_symbol(PolySymbol([3, 2]), d)):
+        assert solve(t, p, "jordan-poly").eigenvalues.size == d
+
+
 def test_resolvent_rejects_dim_mismatch():
     p = rank1_perturbation(4, 1.0, SeededRng(79, 2))
     with pytest.raises(ShapeError):
         eigen_resolvent_aberth(np.zeros(5, dtype=complex), p)
-
-
-def test_dense_triangular_returns_diagonal_exactly():
-    t = np.triu(np.arange(16, dtype=float).reshape(4, 4))
-    s = dense_eigenvalues(t)
-    assert np.array_equal(s.eigenvalues, np.array([0, 5, 10, 15], dtype=complex))
 
 
 def test_dense_corner_fourth_roots():

@@ -6,8 +6,9 @@
 OLD_SRC and NEW_SRC are ``src`` directories holding a ``pseudoscope``
 package.  Every run below is made once from each tree, each in its own
 subprocess with that tree on ``PYTHONPATH`` and one BLAS thread, at seed
-2025: ``experiment`` on every structure kind (two diagonal and two
-Toeplitz cases), ``scaling`` on ``jordan`` and the five ``tails`` kinds,
+2025: ``experiment`` on every structure kind (two diagonal and three
+Toeplitz cases, one of them the linear ``toeplitz(3,2)`` on the
+``jordan-poly`` route), ``scaling`` on ``jordan`` and the five ``tails`` kinds,
 all with ``--threads 1``, plus ``experiment`` on ``jordan`` and
 ``toeplitz(0,1,0.5,0.25)`` with ``--threads 3``, so that a tree that
 splits work across threads differently is held to the same bytes.
@@ -27,7 +28,7 @@ from pathlib import Path
 SEED = 2025
 EXPERIMENT_STRUCTURES = (
     "zero", "scalar(1+2j)", "diagonal(2,3)", "diagonal(1,2,3j)", "jordan",
-    "jordan-corner(0.5)", "toeplitz(3,2,1)", "toeplitz(0,1,0.5,0.25)",
+    "jordan-corner(0.5)", "toeplitz(3,2)", "toeplitz(3,2,1)", "toeplitz(0,1,0.5,0.25)",
 )
 THREADED_STRUCTURES = ("jordan", "toeplitz(0,1,0.5,0.25)")
 TAIL_KINDS = ("norm", "hw", "cw", "qf-diag", "corner")
