@@ -128,15 +128,20 @@ def _check_leftover(values, lines):
 
 
 def _threads(args):
+    """Worker threads from --threads, else $PSEUDOSCOPE_THREADS, else 1."""
     if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get(THREADS_ENV)
-    if env:
+        threads, source = args.threads, "--threads"
+    else:
+        env = os.environ.get(THREADS_ENV)
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            threads, source = int(env), THREADS_ENV
         except ValueError:
             raise ConfigError(f"bad {THREADS_ENV} value {env!r}")
-    return 1
+    if threads < 1:
+        raise ConfigError(f"{source} must be at least 1, got {threads}")
+    return threads
 
 
 def _outdir(args):
@@ -179,8 +184,9 @@ def _experiment_config(args, need_dims=False):
 
 def cmd_experiment(args):
     cfg = _experiment_config(args)
+    threads = _threads(args)
     out = _outdir(args)
-    report = run_experiment(cfg, threads=_threads(args))
+    report = run_experiment(cfg, threads=threads)
     csv_path = os.path.join(out, "eigenvalues.csv")
     rp.write_eigenvalue_csv(csv_path, report.indices, report.eigenvalues)
     rp.write_json(os.path.join(out, "report.json"), rp.report_to_json_dict(report))
@@ -204,10 +210,9 @@ def cmd_scaling(args):
     )
     if trials is None:
         trials = 200
+    threads = _threads(args)
     out = _outdir(args)
-    fit = scaling_fit(
-        structure, dims, eps, trials, seed, threads=_threads(args), solver=solver
-    )
+    fit = scaling_fit(structure, dims, eps, trials, seed, threads=threads, solver=solver)
     rp.write_scaling_csv(os.path.join(out, "scaling.csv"), fit["per_dim"])
     rp.write_json(
         os.path.join(out, "scaling.json"),

@@ -3,6 +3,11 @@ checksum manifest.
 
 Numbers are serialized with Python's shortest round-trip representation,
 so parsing an emitted CSV reproduces the in-memory values exactly.
+
+The eigenvalue CSV and scatter SVG writers stream one trial row at a
+time: a row is converted to Python floats, formatted and written in one
+piece, so no writer holds an object per value of the whole run.  The
+manifest hashes each file in 1 MiB reads.
 """
 
 from __future__ import annotations
@@ -19,18 +24,21 @@ from .geometry import Annulus, DiskUnion, SymbolBand, symbol_image_curve
 REPORT_SCHEMA_VERSION = 2
 
 _CURVE_SAMPLES = 512
+_HASH_READ_BYTES = 1 << 20
 
 
 def write_eigenvalue_csv(path, indices, eigenvalues):
     """Columns trial,index,re,im; one row per eigenvalue, trial order.
-    Row k of ``eigenvalues`` belongs to trial ``indices[k]``."""
+    Row k of ``eigenvalues`` belongs to trial ``indices[k]``.  Each trial
+    row is formatted and written in one piece; no field ever needs CSV
+    quoting (ints and float reprs hold no comma, quote or line break)."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(["trial", "index", "re", "im"])
-        for trial, lams in zip(indices.tolist(), eigenvalues.tolist()):
-            writer.writerows(
-                [trial, j, repr(lam.real), repr(lam.imag)] for j, lam in enumerate(lams)
-            )
+        fh.write("trial,index,re,im\r\n")
+        for trial, lams in zip(indices.tolist(), eigenvalues):
+            fh.write("".join([
+                f"{trial},{j},{x!r},{y!r}\r\n"
+                for j, x, y in zip(range(len(lams)), lams.real.tolist(), lams.imag.tolist())
+            ]))
 
 
 def report_to_json_dict(report):
@@ -62,12 +70,17 @@ def write_json(path, payload):
         fh.write("\n")
 
 
+def _sha256(path):
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_HASH_READ_BYTES):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def write_manifest(out_dir, filenames, extra=None):
     """run_manifest.json listing every emitted file with a sha256 checksum."""
-    files = {}
-    for name in sorted(filenames):
-        with open(os.path.join(out_dir, name), "rb") as fh:
-            files[name] = "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+    files = {name: "sha256:" + _sha256(os.path.join(out_dir, name)) for name in sorted(filenames)}
     payload = {"schema_version": REPORT_SCHEMA_VERSION, "files": files}
     if extra:
         payload.update(extra)
@@ -100,14 +113,19 @@ def region_overlay_curves(region, exclusion=None):
     return curves
 
 
+_CIRCLE = '<circle cx="%.2f" cy="%.2f" r="1.4" fill="#1f4e9c" fill-opacity="0.5"/>\n'
+
+
 def write_scatter_svg(path, eigenvalues, curves, size=800, margin_frac=0.10):
     """Eigenvalue cloud as one circle element per point plus overlay paths.
 
     Axis ranges auto-fit the points and overlays with a 10% margin; the
-    vertical axis is flipped so the upper half plane is on top.
+    vertical axis is flipped so the upper half plane is on top.  Row k of
+    ``eigenvalues`` is trial k's spectrum; each row is scaled as one array
+    and written in one piece.
     """
-    pts = eigenvalues.reshape(-1)
-    allz = [pts] + [np.asarray(c) for c in curves]
+    curves = [np.asarray(c) for c in curves]
+    allz = [eigenvalues.reshape(-1)] + curves
     re = np.concatenate([z.real for z in allz])
     im = np.concatenate([z.imag for z in allz])
     lo_x, hi_x = float(re.min()), float(re.max())
@@ -117,31 +135,26 @@ def write_scatter_svg(path, eigenvalues, curves, size=800, margin_frac=0.10):
     lo_x, hi_x = lo_x - pad, hi_x + pad
     lo_y, hi_y = lo_y - pad, hi_y + pad
 
-    def sx(x):
-        return (x - lo_x) / (hi_x - lo_x) * size
+    def scaled(z):
+        """Pixel (x, y) pairs of the points ``z``."""
+        xs = (z.real - lo_x) / (hi_x - lo_x) * size
+        ys = size - (z.imag - lo_y) / (hi_y - lo_y) * size
+        return zip(xs.tolist(), ys.tolist())
 
-    def sy(y):
-        return size - (y - lo_y) / (hi_y - lo_y) * size
-
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">\n'
-    ]
-    for curve in curves:
-        z = np.asarray(curve)
-        coords = " L".join(f"{sx(x):.2f} {sy(y):.2f}" for x, y in zip(z.real, z.imag))
-        parts.append(
-            f'<path d="M{coords} Z" fill="none" stroke="#c02020" stroke-width="1.2"/>\n'
-        )
-    for lam in pts:
-        parts.append(
-            f'<circle cx="{sx(lam.real):.2f}" cy="{sy(lam.imag):.2f}" '
-            f'r="1.4" fill="#1f4e9c" fill-opacity="0.5"/>\n'
-        )
-    parts.append("</svg>\n")
     with open(path, "w") as fh:
-        fh.write("".join(parts))
+        fh.write(
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">\n'
+        )
+        for z in curves:
+            coords = " L".join(["%.2f %.2f" % xy for xy in scaled(z)])
+            fh.write(
+                f'<path d="M{coords} Z" fill="none" stroke="#c02020" stroke-width="1.2"/>\n'
+            )
+        for row in eigenvalues:
+            fh.write("".join([_CIRCLE % xy for xy in scaled(row)]))
+        fh.write("</svg>\n")
 
 
 def write_scaling_csv(path, per_dim):

@@ -307,6 +307,24 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     assert b1 == b2
 
 
+@pytest.mark.parametrize("command", ["experiment", "scaling"])
+def test_threads_below_one_exit_2(tmp_path, monkeypatch, capsys, command):
+    text = EXPERIMENT_CFG if command == "experiment" else (
+        "[experiment]\nstructure = jordan\neps = 2.0\ndims = 16,32,64\ntrials = 5\n"
+    )
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "o"
+    for flag in ("0", "-4"):
+        assert main([command, "--config", cfg, "--out", str(out), "--threads", flag]) == 2
+        assert f"--threads must be at least 1, got {flag}" in capsys.readouterr().err
+    monkeypatch.setenv("PSEUDOSCOPE_THREADS", "0")
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "PSEUDOSCOPE_THREADS must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+    # an explicit flag still overrides the environment
+    assert main([command, "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+
+
 def test_module_entrypoint_subprocess(tmp_path):
     cfg = _write(tmp_path, EXPERIMENT_CFG)
     out = str(tmp_path / "out")

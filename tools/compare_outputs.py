@@ -8,9 +8,11 @@ package.  Every run below is made once from each tree, each in its own
 subprocess with that tree on ``PYTHONPATH`` and one BLAS thread, at seed
 2025: ``experiment`` on every structure kind (two diagonal and three
 Toeplitz cases, one of them the linear ``toeplitz(3,2)`` on the
-``jordan-poly`` route), ``scaling`` on ``jordan`` and the five ``tails`` kinds,
-all with ``--threads 1``, plus ``experiment`` on ``jordan`` and
-``toeplitz(0,1,0.5,0.25)`` with ``--threads 3``, so that a tree that
+``jordan-poly`` route) at d=100 with 100 trials, ``experiment`` on
+``diagonal(2,3)`` at d=512 with 200 trials (the largest files a run writes:
+about 5 MB of CSV and 8 MB of SVG), ``scaling`` on ``jordan`` and the five
+``tails`` kinds, all with ``--threads 1``, plus ``experiment`` on ``jordan``
+and ``toeplitz(0,1,0.5,0.25)`` with ``--threads 3``, so that a tree that
 splits work across threads differently is held to the same bytes.
 The script prints each output file whose sha256 differs, or that only one
 tree wrote, and exits 1 if there is any; a run that fails in either tree
@@ -41,6 +43,8 @@ def runs():
     for structure in EXPERIMENT_STRUCTURES:
         yield (f"experiment-{structure}", "experiment",
                f"structure = {structure}\nd = 100\neps = 2.0\ntrials = 100\n", 1)
+    yield ("experiment-diagonal(2,3)-d512", "experiment",
+           "structure = diagonal(2,3)\nd = 512\neps = 2.0\ntrials = 200\n", 1)
     for structure in THREADED_STRUCTURES:
         yield (f"experiment-{structure}-threads3", "experiment",
                f"structure = {structure}\nd = 100\neps = 2.0\ntrials = 100\n", 3)
