@@ -11,10 +11,8 @@ from .errors import (
 from .linalg import (
     PolySymbol,
     jordan_corner,
-    jordan_nilpotent,
     jordan_quadratic_forms,
     toeplitz_from_symbol,
-    two_block_corner,
 )
 from .sampling import (
     RankOnePerturbation,
@@ -23,7 +21,6 @@ from .sampling import (
     rank1_perturbation,
 )
 from .spectra import (
-    MonicPolynomial,
     Spectrum,
     charpoly_jordan_rank1,
     dense_eigenvalues,
@@ -32,16 +29,13 @@ from .spectra import (
     spectrum_match_distance,
 )
 from .geometry import (
-    Annulus,
     DiskUnion,
     ExclusionSet,
     SymbolBand,
-    corner_eigenvalues,
     critical_values,
     separation_radius,
     symbol_image_curve,
     symbol_preimages,
-    two_block_eigenvalues,
 )
 from .experiments import (
     ConcentrationReport,

@@ -340,28 +340,23 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="path to the run config")
+    def run_command(name, func, summary, threads=True):
+        """A command that reads a config; only experiment and scaling run
+        worker threads."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", required=True, help="path to the run config")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads (default ${THREADS_ENV} or 1)")
+        if threads:
+            p.add_argument("--threads", type=int, default=None,
+                           help=f"worker threads (default ${THREADS_ENV} or 1)")
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("experiment", help="run one eigenvalue-cloud experiment")
-    common(p)
-    p.set_defaults(func=cmd_experiment)
-
-    p = sub.add_parser("scaling", help="fit the deviation-vs-dimension slope")
-    common(p)
-    p.set_defaults(func=cmd_scaling)
-
-    p = sub.add_parser("tails", help="empirical tail tables against oracles")
-    common(p)
-    p.set_defaults(func=cmd_tails)
+    run_command("experiment", cmd_experiment, "run one eigenvalue-cloud experiment")
+    run_command("scaling", cmd_scaling, "fit the deviation-vs-dimension slope")
+    run_command("tails", cmd_tails, "empirical tail tables against oracles", threads=False)
 
     p = sub.add_parser("oracle-check", help="cross-validate fast solvers against dense QR")
-    common(p, config=False)
     p.add_argument("--d-max", type=int, default=50,
                    help=f"largest dimension drawn, 5 to {ORACLE_D_MAX}")
     p.add_argument("--trials", type=int, default=20, help="trials per structure")

@@ -21,13 +21,7 @@ from scipy import special
 
 from . import fixtures
 from .errors import ConfigError, ConvergenceError, ExperimentError, ShapeError
-from .geometry import (
-    Annulus,
-    DiskUnion,
-    ExclusionSet,
-    SymbolBand,
-    separation_radius,
-)
+from .geometry import DiskUnion, ExclusionSet, SymbolBand, separation_radius
 from .linalg import PolySymbol, jordan_corner, toeplitz_from_symbol
 from .sampling import SeededRng, apply_perturbation, rank1_perturbation
 from .spectra import (
@@ -268,15 +262,22 @@ class ExperimentConfig:
 
 def build_region(cfg: ExperimentConfig):
     """The containment region and (for symbols with critical values) the
-    exclusion set; jordan's band is the annulus ``||lam| - 1| < delta``."""
+    exclusion set; jordan's band is the annulus ``||lam| - 1| < delta``.
+
+    The corner block's eigenvalues are the d-th roots of rho, so its
+    region is the band of ``r z``, ``r = |rho|^(1/d)``.  Only the region
+    has that symbol: the corner base is no Toeplitz matrix, so
+    :meth:`StructureSpec.symbol` gives None for it and no route treats it
+    as one.
+    """
     kind = cfg.structure.kind
     delta = cfg.resolved_delta()
     if kind in _DIAGONAL_KINDS:
         centers = np.unique(np.asarray(cfg.structure.diagonal_entries(cfg.d)))
         return DiskUnion(centers, delta), None
     if kind == "jordan-corner":
-        scale = abs(complex(cfg.structure.args[0])) ** (1.0 / cfg.d)
-        return Annulus.from_scale(0j, scale, delta), None
+        r = abs(cfg.structure.args[0]) ** (1.0 / cfg.d)
+        return SymbolBand(PolySymbol([0, r]), delta), None
     p = cfg.structure.symbol()
     exclusion = ExclusionSet.from_symbol(p, cfg.eps) if p.nontrivial_count >= 2 else None
     return SymbolBand(p, delta), exclusion

@@ -1,6 +1,9 @@
-"""Concentration regions, symbol-curve geometry, and closed-form corner
-spectra.
+"""Concentration regions and symbol-curve geometry.
 
+There is one region kind for each framework: a :class:`DiskUnion` around
+the eigenvalues of a normal (diagonal) base, and a :class:`SymbolBand`
+around the image of the unit circle under a Jordan or Toeplitz base's
+symbol, with an :class:`ExclusionSet` around the symbol's critical values.
 Each region implements ``classify(lams) -> (deviation, outward, inside)``:
 the two-sided distance to its reference set, the outward excess beyond it
 (clipped at zero) and strict membership, all from one pass over the
@@ -15,20 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ShapeError
+from .errors import ShapeError
 from .linalg import PolySymbol, as_complex_vector
-from .spectra import MonicPolynomial, poly_roots
 
 __all__ = [
     "DiskUnion",
-    "Annulus",
     "SymbolBand",
     "ExclusionSet",
     "separation_radius",
     "critical_values",
     "symbol_preimages",
-    "corner_eigenvalues",
-    "two_block_eigenvalues",
     "symbol_image_curve",
 ]
 
@@ -88,46 +87,11 @@ class DiskUnion:
 
 
 @dataclass(frozen=True)
-class Annulus:
-    """Open annulus ``inner < |lam - center| < outer``.
-
-    ``ref`` is the radius of the reference circle that deviations are
-    measured from; it is not the midpoint once the inner radius clamps.
-    """
-
-    center: complex
-    inner: float
-    outer: float
-    ref: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", complex(self.center))
-        object.__setattr__(self, "inner", float(self.inner))
-        object.__setattr__(self, "outer", float(self.outer))
-        if not 0 <= self.inner < self.outer:
-            raise ShapeError("annulus needs 0 <= inner < outer")
-        object.__setattr__(self, "ref", float(self.ref))
-
-    @classmethod
-    def from_scale(cls, center, scale, delta):
-        """Annulus of relative half-width ``delta`` around the circle of
-        radius ``scale``; the inner radius clamps at 0 for ``delta >= 1``."""
-        return cls(center, scale * max(0.0, 1.0 - delta), scale * (1.0 + delta), scale)
-
-    def classify(self, lams):
-        """Deviation ``| |lam - center| - ref |`` from the reference circle."""
-        lams = np.atleast_1d(np.asarray(lams, dtype=np.complex128))
-        r = np.abs(lams - self.center)
-        inside = (self.inner < r) & (r < self.outer)
-        return np.abs(r - self.ref), np.maximum(r - self.ref, 0.0), inside
-
-
-@dataclass(frozen=True)
 class SymbolBand:
     """Image of the annulus ``||z| - 1| < delta`` under the symbol map (for
     ``delta >= 1``, of the disk ``|z| < 1 + delta``); membership is decided
-    through preimage moduli.  For ``p(z) = z`` it is the annulus around the
-    unit circle."""
+    through preimage moduli.  For ``p(z) = r z`` it is the annulus
+    ``||lam| / r - 1| < delta`` around the circle of radius r."""
 
     symbol: PolySymbol
     delta: float
@@ -174,21 +138,11 @@ class ExclusionSet:
 
 
 def critical_values(p: PolySymbol):
-    """Images under p of the roots of p' (empty for a linear symbol).
-
-    A repeated critical point has no isolating inclusion disc, so
-    ``poly_roots`` rejects it; its companion-matrix roots, accurate to
-    about the square root of the rounding unit, stand in.
-    """
-    dc = p.derivative_coeffs()
-    if dc.size == 1:
-        return np.array([], dtype=np.complex128)
-    monic_tail = dc[:-1] / dc[-1]
-    try:
-        roots = poly_roots(MonicPolynomial(monic_tail)).eigenvalues
-    except ConvergenceError:
-        roots = np.polynomial.polynomial.polyroots(dc)
-    return p(roots)
+    """Images under p of the roots of p' (empty for a linear symbol), the
+    roots taken as companion-matrix eigenvalues.  A double critical point
+    comes out only to about the square root of the rounding unit, but p
+    is flat there to third order, so its value stays accurate."""
+    return p(np.polynomial.polynomial.polyroots(p.derivative_coeffs()))
 
 
 def symbol_preimages(p: PolySymbol, lams):
@@ -215,34 +169,6 @@ def symbol_preimages(p: PolySymbol, lams):
         comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
         z = np.linalg.eigvals(comp)
     return z[0] if lams.ndim == 0 else z
-
-
-def corner_eigenvalues(d, rho):
-    """Closed-form spectrum of the nilpotent block with corner entry rho:
-    the d-th roots of rho, uniform on the circle of radius ``|rho|^{1/d}``."""
-    if d < 1:
-        raise ShapeError("dimension must be positive")
-    rho = complex(rho)
-    if rho == 0:
-        return np.zeros(d, dtype=np.complex128)
-    mod = abs(rho) ** (1.0 / d)
-    theta = math.atan2(rho.imag, rho.real)
-    k = np.arange(d)
-    return mod * np.exp(1j * (2.0 * np.pi * k + theta) / d)
-
-
-def two_block_eigenvalues(d, gamma1, gamma2, rho):
-    """Closed-form spectrum of the two-valued corner-perturbed matrix:
-    ``(g1 + g2 +- sqrt((g1 - g2)^2 + 4 r_k)) / 2`` over the d-th roots
-    ``r_k`` of rho (principal square root)."""
-    if d < 1:
-        raise ShapeError("block size must be positive")
-    g1, g2 = complex(gamma1), complex(gamma2)
-    rk = corner_eigenvalues(d, rho)  # d-th roots of rho
-    disc = np.sqrt((g1 - g2) ** 2 + 4.0 * rk + 0j)
-    plus = (g1 + g2 + disc) / 2.0
-    minus = (g1 + g2 - disc) / 2.0
-    return np.concatenate([plus, minus])
 
 
 def symbol_image_curve(p: PolySymbol, samples):

@@ -21,9 +21,7 @@ __all__ = [
     "PolySymbol",
     "as_complex_vector",
     "as_complex_matrix",
-    "jordan_nilpotent",
     "jordan_corner",
-    "two_block_corner",
     "toeplitz_from_symbol",
     "jordan_quadratic_forms",
 ]
@@ -86,31 +84,13 @@ class PolySymbol:
         return self.coeffs[1:] * np.arange(1, self.coeffs.size)
 
 
-def jordan_nilpotent(d):
-    """Nilpotent single block: ones on the first superdiagonal."""
+def jordan_corner(d, rho):
+    """Nilpotent block (ones on the first superdiagonal) with one extra
+    entry ``rho`` in the bottom-left corner."""
     if d < 1:
         raise ShapeError("dimension must be positive")
-    return np.diag(np.ones(d - 1, dtype=np.complex128), 1)
-
-
-def jordan_corner(d, rho):
-    """Nilpotent block with one extra entry ``rho`` in the bottom-left corner."""
-    a = jordan_nilpotent(d)
+    a = np.diag(np.ones(d - 1, dtype=np.complex128), 1)
     a[d - 1, 0] += complex(rho)
-    return a
-
-
-def two_block_corner(d, gamma1, gamma2, rho):
-    """2d x 2d matrix: two diagonal values of multiplicity d each, a full
-    superdiagonal of ones, and ``rho`` in the bottom-left corner."""
-    if d < 1:
-        raise ShapeError("block size must be positive")
-    n = 2 * d
-    a = np.zeros((n, n), dtype=np.complex128)
-    a[np.arange(d), np.arange(d)] = complex(gamma1)
-    a[np.arange(d, n), np.arange(d, n)] = complex(gamma2)
-    a += np.diag(np.ones(n - 1), 1)
-    a[n - 1, 0] += complex(rho)
     return a
 
 

@@ -19,7 +19,7 @@ import os
 
 import numpy as np
 
-from .geometry import Annulus, DiskUnion, SymbolBand, symbol_image_curve
+from .geometry import DiskUnion, symbol_image_curve
 
 REPORT_SCHEMA_VERSION = 2
 
@@ -95,21 +95,14 @@ def _circle(center, radius, samples=_CURVE_SAMPLES):
 
 
 def region_overlay_curves(region, exclusion=None):
-    """Closed polylines outlining the region (and exclusion disks, if any)."""
-    curves = []
+    """Closed polylines outlining the region, the boundary circles of a
+    disk union or a band's symbol curve, and the exclusion disks, if any."""
     if isinstance(region, DiskUnion):
-        for c in region.centers:
-            curves.append(_circle(complex(c), region.radius))
-    elif isinstance(region, Annulus):
-        if region.inner > 0:
-            curves.append(_circle(region.center, region.inner))
-        curves.append(_circle(region.center, region.outer))
-        curves.append(_circle(region.center, region.ref))
-    elif isinstance(region, SymbolBand):
-        curves.append(symbol_image_curve(region.symbol, _CURVE_SAMPLES))
+        curves = [_circle(complex(c), region.radius) for c in region.centers]
+    else:
+        curves = [symbol_image_curve(region.symbol, _CURVE_SAMPLES)]
     if exclusion is not None:
-        for c in exclusion.critical_points:
-            curves.append(_circle(complex(c), exclusion.radius))
+        curves += [_circle(complex(c), exclusion.radius) for c in exclusion.critical_points]
     return curves
 
 
@@ -125,11 +118,11 @@ def write_scatter_svg(path, eigenvalues, curves, size=800, margin_frac=0.10):
     and written in one piece.
     """
     curves = [np.asarray(c) for c in curves]
-    allz = [eigenvalues.reshape(-1)] + curves
-    re = np.concatenate([z.real for z in allz])
-    im = np.concatenate([z.imag for z in allz])
-    lo_x, hi_x = float(re.min()), float(re.max())
-    lo_y, hi_y = float(im.min()), float(im.max())
+    parts = [eigenvalues, *curves]  # extremes read in place, with no joined copy
+    lo_x = min(float(z.real.min()) for z in parts)
+    hi_x = max(float(z.real.max()) for z in parts)
+    lo_y = min(float(z.imag.min()) for z in parts)
+    hi_y = max(float(z.imag.max()) for z in parts)
     span = max(hi_x - lo_x, hi_y - lo_y, 1e-9)
     pad = margin_frac * span
     lo_x, hi_x = lo_x - pad, hi_x + pad

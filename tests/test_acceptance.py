@@ -18,7 +18,6 @@ from pseudoscope import (
     ExperimentConfig,
     SeededRng,
     StructureSpec,
-    corner_eigenvalues,
     dense_eigenvalues,
     jordan_corner,
     rank1_perturbation,
@@ -27,12 +26,12 @@ from pseudoscope import (
     spectrum_match_distance,
     tail_carbery_wright,
     tail_norm_concentration,
-    two_block_corner,
-    two_block_eigenvalues,
 )
 from pseudoscope import fixtures
 from pseudoscope.experiments import auto_route, solve
 from pseudoscope.cli import main as cli_main
+
+from closed_forms import corner_eigenvalues, two_block_corner, two_block_eigenvalues
 
 SEED = 2025
 

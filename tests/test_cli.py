@@ -255,6 +255,20 @@ def test_tails_unknown_which(tmp_path):
     assert main(["tails", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_commands_reject_flags_they_ignore(tmp_path):
+    # tails runs no worker threads; oracle-check reads no config, writes no
+    # files and draws from fixed streams
+    cfg = _write(tmp_path, "[experiment]\nwhich = norm\nd = 20\ntrials = 10\n")
+    out = tmp_path / "o"
+    for argv in (["tails", "--config", cfg, "--out", str(out), "--threads", "2"],
+                 ["oracle-check", "--seed", "1"], ["oracle-check", "--threads", "-3"],
+                 ["oracle-check", "--out", str(out)]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+    assert not out.exists()
+
+
 def test_oracle_check_passes_and_corrupt_hook_fails(tmp_path, monkeypatch, capsys):
     assert main(["oracle-check", "--d-max", "20", "--trials", "4"]) == 0
     out = capsys.readouterr().out

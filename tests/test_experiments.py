@@ -119,6 +119,22 @@ def test_failure_cap_aborts_run(monkeypatch):
         run_experiment(_cfg("jordan", 20, 30))
 
 
+def test_corner_region_is_band_of_scaled_identity():
+    # the corner block's eigenvalues are the d-th roots of rho, on the
+    # circle of radius r = |rho|^(1/d), so its region is the band of r z;
+    # the base itself has no symbol, so its route stays dense QR
+    cfg = _cfg("jordan-corner(0.5)", 100, 3, region=1.5)
+    region, exclusion = exp.build_region(cfg)
+    r = 0.5 ** (1 / 100)
+    assert isinstance(region, geometry.SymbolBand) and exclusion is None
+    assert np.array_equal(region.symbol.coeffs, [0, r]) and region.delta == 1.5
+    assert cfg.structure.symbol() is None
+    assert exp.auto_route(cfg.structure) == "dense-qr"
+    report = run_experiment(cfg)
+    want = np.abs(np.abs(report.eigenvalues) / r - 1.0)
+    assert np.allclose(report.deviations, want, rtol=0, atol=1e-15)
+
+
 _KIND_EXAMPLES = {
     "zero": "zero",
     "scalar": "scalar(1+2j)",

@@ -4,22 +4,20 @@ import numpy as np
 import pytest
 
 from pseudoscope import (
-    Annulus,
     DiskUnion,
     ExclusionSet,
     PolySymbol,
     ShapeError,
     SymbolBand,
-    corner_eigenvalues,
     critical_values,
     dense_eigenvalues,
     separation_radius,
     spectrum_match_distance,
     symbol_image_curve,
     symbol_preimages,
-    two_block_corner,
-    two_block_eigenvalues,
 )
+
+from closed_forms import corner_eigenvalues, two_block_corner, two_block_eigenvalues
 
 
 def test_separation_radius_pair():
@@ -73,19 +71,44 @@ def test_nearest_center_matches_broadcast_reference():
     assert np.array_equal(ExclusionSet(centers, 0.1).mask(lams), ref < 0.1)
 
 
+def _annulus_reference(lams, r, delta):
+    """Membership of the annulus ``(1 - delta) r < |lam| < (1 + delta) r``."""
+    mod = np.abs(lams)
+    return ((1.0 - delta) * r < mod) & (mod < (1.0 + delta) * r)
+
+
+def _band_of_scale(r, delta):
+    return SymbolBand(PolySymbol([0, r]), delta)
+
+
+# jordan-corner(0.5)'s radius at d=100
+CORNER_R = 0.5 ** (1 / 100)
+
+
 def test_annulus_membership():
-    ann = Annulus.from_scale(0j, 1.0, 0.1)
-    assert ann.classify(1.05)[2]
-    assert not ann.classify(1.2)[2]
-    assert not ann.classify(0.85)[2]
-    assert ann.classify(0.95j)[2]
+    # jordan-corner's region is the band of r z: the annulus around the
+    # circle of radius r = |rho|^(1/d)
+    band = _band_of_scale(CORNER_R, 0.2)
+    assert band.classify(1.1 * CORNER_R)[2]
+    assert not band.classify(1.25 * CORNER_R)[2]
+    assert not band.classify(0.75 * CORNER_R)[2]
+    assert band.classify(0.9j * CORNER_R)[2]
+    rng = np.random.default_rng(5)
+    lams = CORNER_R * (rng.standard_normal(10_000) + 1j * rng.standard_normal(10_000))
+    dev, _, inside = band.classify(lams)
+    assert np.array_equal(inside, _annulus_reference(lams, CORNER_R, 0.2))
+    # the deviation is relative to the radius
+    assert np.allclose(dev, np.abs(np.abs(lams) / CORNER_R - 1.0), rtol=0, atol=1e-15)
 
 
 def test_annulus_inner_clamp():
-    ann = Annulus.from_scale(0j, 1.0, 1.5)
-    assert ann.inner == 0.0
-    assert ann.ref == 1.0
-    assert ann.classify(1e-6)[2]
+    # past the half-width 1 the annulus is the disk |lam| < (1 + delta) r
+    band = _band_of_scale(CORNER_R, 1.5)
+    assert band.classify(1e-6 * CORNER_R)[2]
+    assert not band.classify(2.5 * CORNER_R)[2]
+    rng = np.random.default_rng(6)
+    lams = 2.0 * CORNER_R * (rng.standard_normal(10_000) + 1j * rng.standard_normal(10_000))
+    assert np.array_equal(band.classify(lams)[2], _annulus_reference(lams, CORNER_R, 1.5))
 
 
 def test_band_linear_symbol_circle():
@@ -107,15 +130,15 @@ def test_band_quadratic_example_outside():
 
 def test_band_reduces_to_annulus_for_identity_symbol():
     # jordan's region is the band of p(z) = z; it classifies exactly as the
-    # annulus around the unit circle, also past the half-width 1 where the
-    # annulus's inner radius clamps at 0
+    # annulus around the unit circle, also past the half-width 1
     rng = np.random.default_rng(11)
     lams = 2.5 * (rng.standard_normal(10_000) + 1j * rng.standard_normal(10_000))
+    mod = np.abs(lams)
     for delta in (0.2, 1.5):
-        got = SymbolBand(PolySymbol([0, 1]), delta).classify(lams)
-        want = Annulus.from_scale(0j, 1.0, delta).classify(lams)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+        dev, outward, inside = _band_of_scale(1, delta).classify(lams)
+        assert np.array_equal(dev, np.abs(mod - 1.0))
+        assert np.array_equal(outward, np.maximum(mod - 1.0, 0.0))
+        assert np.array_equal(inside, _annulus_reference(lams, 1.0, delta))
 
 
 def test_critical_values_linear_empty():

@@ -6,12 +6,12 @@ from pseudoscope import (
     SeededRng,
     ShapeError,
     jordan_corner,
-    jordan_nilpotent,
     jordan_quadratic_forms,
     rank1_perturbation,
     toeplitz_from_symbol,
-    two_block_corner,
 )
+
+from closed_forms import jordan_nilpotent, two_block_corner
 
 
 def cvec(*entries):

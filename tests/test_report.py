@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pseudoscope import report as rp
-from pseudoscope.geometry import Annulus, ExclusionSet
+from pseudoscope.geometry import DiskUnion, ExclusionSet
 
 
 def reference_eigenvalue_csv(path, indices, eigenvalues):
@@ -73,8 +73,9 @@ def _cloud(trials, d, seed=3):
 CURVES = [
     rp._circle(0.5 - 0.25j, 2.0),
     [complex(-1, 1), complex(1, 1), complex(0, -1)],  # a plain list is accepted too
+    *(rp._circle(0j, radius) for radius in (0.5, 1.5, 1.0)),
     *rp.region_overlay_curves(
-        Annulus(center=0j, inner=0.5, outer=1.5, ref=1.0),
+        DiskUnion(np.array([2.5 + 0.5j, -1.5j]), 0.2),
         ExclusionSet(critical_points=np.array([0.25 + 0.5j, -0.75j]), radius=0.1),
     ),
 ]
@@ -136,11 +137,11 @@ def test_manifest_hashes_across_read_boundaries(tmp_path):
 
 
 # Traced peaks on a (200, 512) cloud, with Python 3.11 and numpy 2.4:
-# 0.09 MB (CSV), 1.8 MB (SVG, mostly the two 0.8 MB coordinate arrays the
-# axis fit concatenates) and 2.1 MB (manifest, two 1 MiB reads alive at
-# once).  Writers that build one object per value peaked at 4.3, 31 and
-# 7.8 MB.
-MEMORY_BOUNDS_MB = {"csv": 0.3, "svg": 2.7, "manifest": 3.2}
+# 0.09 MB (CSV), 0.13 MB (SVG, one row's strings; an axis fit that
+# concatenated every coordinate peaked at 1.8 MB) and 2.1 MB (manifest,
+# two 1 MiB reads alive at once).  Writers that build one object per value
+# peaked at 4.3, 31 and 7.8 MB.
+MEMORY_BOUNDS_MB = {"csv": 0.3, "svg": 0.2, "manifest": 3.2}
 
 
 def test_writer_memory_stays_bounded(tmp_path):

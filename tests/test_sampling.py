@@ -5,9 +5,10 @@ from scipy import special
 from pseudoscope import (
     SeededRng,
     apply_perturbation,
-    jordan_nilpotent,
     rank1_perturbation,
 )
+
+from closed_forms import jordan_nilpotent
 
 
 def test_same_stream_is_bit_identical():

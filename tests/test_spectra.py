@@ -1,19 +1,19 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import pseudoscope.spectra as spectra
 from pseudoscope import (
     ConvergenceError,
-    MonicPolynomial,
     SeededRng,
     ShapeError,
     apply_perturbation,
     charpoly_jordan_rank1,
-    corner_eigenvalues,
     dense_eigenvalues,
     eigen_resolvent_aberth,
     jordan_corner,
-    jordan_nilpotent,
     poly_roots,
     rank1_perturbation,
     spectrum_match_distance,
@@ -23,13 +23,15 @@ from pseudoscope.experiments import StructureSpec, solve
 from pseudoscope.linalg import PolySymbol
 from pseudoscope.sampling import RankOnePerturbation
 
+from closed_forms import corner_eigenvalues, jordan_nilpotent
+
 
 def test_charpoly_scalar_case():
     p = RankOnePerturbation(np.array([2 + 1j]), np.array([1 - 1j]), 1.5)
-    poly = charpoly_jordan_rank1(p)
+    tail = charpoly_jordan_rank1(p)
     expected_root = 1.5 * np.conj(1 - 1j) * (2 + 1j) / (abs(2 + 1j) * abs(1 - 1j))
-    assert poly.degree == 1
-    assert poly.coeffs[0] == pytest.approx(-expected_root)
+    assert tail.shape == (1,)
+    assert tail[0] == pytest.approx(-expected_root)
 
 
 def test_charpoly_corner_surrogate_matches_closed_form():
@@ -44,6 +46,13 @@ def test_charpoly_corner_surrogate_matches_closed_form():
     assert spectrum_match_distance(roots, corner_eigenvalues(d, eps)) <= 1e-10
 
 
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(code, {})
+    assert float(capsys.readouterr().out) <= 1e-12
+
+
 def test_charpoly_roots_match_dense_oracle():
     d = 20
     p = rank1_perturbation(d, 2.0, SeededRng(71, 0))
@@ -53,7 +62,7 @@ def test_charpoly_roots_match_dense_oracle():
 
 
 def test_poly_roots_quadratic():
-    s = poly_roots(MonicPolynomial([1.0, 0.0]))  # z^2 + 1
+    s = poly_roots([1.0, 0.0])  # z^2 + 1
     assert spectrum_match_distance(s.eigenvalues, np.array([1j, -1j])) <= 1e-14
 
 
@@ -61,7 +70,7 @@ def test_poly_roots_roots_of_unity():
     d = 12
     coeffs = np.zeros(d, dtype=complex)
     coeffs[0] = -1.0
-    s = poly_roots(MonicPolynomial(coeffs))
+    s = poly_roots(coeffs)
     expected = np.exp(2j * np.pi * np.arange(d) / d)
     assert spectrum_match_distance(s.eigenvalues, expected) <= 1e-12
     assert s.residual <= 1e-12
@@ -80,7 +89,7 @@ def test_poly_roots_nonconvergence_error_carries_flags():
     rng = SeededRng(75, 0)
     coeffs = rng.complex_normals(9)
     with pytest.raises(ConvergenceError) as info:
-        poly_roots(MonicPolynomial(coeffs), max_sweeps=1)
+        poly_roots(coeffs, max_sweeps=1)
     assert hasattr(info.value, "converged")
     assert info.value.converged.shape == (9,)
 
@@ -89,7 +98,7 @@ def test_poly_roots_splits_off_exact_zero_roots():
     # z^3 (z - 1)(z - 2)(z - 3j) (z + 4): three exact zeros, four iterated roots
     expected = np.array([0, 0, 0, 1, 2, 3j, -4], dtype=complex)
     full = np.polynomial.polynomial.polyfromroots(expected)
-    s = poly_roots(MonicPolynomial(full[:-1]))
+    s = poly_roots(full[:-1])
     assert np.count_nonzero(s.eigenvalues == 0) == 3
     assert spectrum_match_distance(s.eigenvalues, expected) <= 1e-12
     assert 0 < s.residual <= 1e-10
@@ -99,7 +108,7 @@ def test_poly_roots_roots_spread_over_many_scales():
     # the Newton polygon starts each scale on its own circle
     expected = np.array([1e-4, 2e-4j, 1, -1, 1j, 0.5 + 0.5j, 1e4, -1e4j])
     full = np.polynomial.polynomial.polyfromroots(expected)
-    s = poly_roots(MonicPolynomial(full[:-1]))
+    s = poly_roots(full[:-1])
     # each root to a small relative error, and (the discs being disjoint)
     # each found once
     for z in expected:
@@ -109,7 +118,7 @@ def test_poly_roots_roots_spread_over_many_scales():
 def test_newton_polygon_starts_need_few_sweeps():
     # the starts keep the sweep count flat in d (13 to 16 at d=256, eps=2)
     for d in (64, 256):
-        full = charpoly_jordan_rank1(rank1_perturbation(d, 2.0, SeededRng(11, 0))).full_coeffs()
+        full = np.append(charpoly_jordan_rank1(rank1_perturbation(d, 2.0, SeededRng(11, 0))), 1)
         _, conv, sweeps = spectra._aberth_polynomial(full, spectra._newton_polygon_starts(full))
         assert conv.all()
         assert sweeps <= 30
@@ -118,7 +127,7 @@ def test_newton_polygon_starts_need_few_sweeps():
 def test_poly_roots_rejects_double_root():
     full = np.polynomial.polynomial.polyfromroots([1, 1, -2, 3j])
     with pytest.raises(ConvergenceError):
-        poly_roots(MonicPolynomial(full[:-1]))
+        poly_roots(full[:-1])
 
 
 def test_certificate_rejects_duplicated_root(monkeypatch):
@@ -131,7 +140,7 @@ def test_certificate_rejects_duplicated_root(monkeypatch):
         lambda *args, **kwargs: (claimed, np.ones(4, dtype=bool), 1),
     )
     with pytest.raises(ConvergenceError, match="overlap") as info:
-        poly_roots(MonicPolynomial(full[:-1]))
+        poly_roots(full[:-1])
     assert info.value.radii.shape == (4,)
 
 
@@ -336,9 +345,9 @@ def test_jordan_poly_beats_dense_qr_at_small_eps():
     mpmath = pytest.importorskip("mpmath")
     d = 48
     p = rank1_perturbation(d, 1e-12, SeededRng(0, 0))
-    poly = charpoly_jordan_rank1(p)
+    full = np.append(charpoly_jordan_rank1(p), 1)
     with mpmath.workdps(60):
-        desc = [mpmath.mpc(c.real, c.imag) for c in poly.full_coeffs()[::-1]]
+        desc = [mpmath.mpc(c.real, c.imag) for c in full[::-1]]
         ref = np.array([complex(r) for r in mpmath.polyroots(desc, maxsteps=200, extraprec=200)])
     base = jordan_nilpotent(d)
     assert spectrum_match_distance(solve(base, p, "jordan-poly"), ref) <= 1e-13

@@ -10,10 +10,11 @@ subprocess with that tree on ``PYTHONPATH`` and one BLAS thread, at seed
 Toeplitz cases, one of them the linear ``toeplitz(3,2)`` on the
 ``jordan-poly`` route) at d=100 with 100 trials, ``experiment`` on
 ``diagonal(2,3)`` at d=512 with 200 trials (the largest files a run writes:
-about 5 MB of CSV and 8 MB of SVG), ``scaling`` on ``jordan`` and the five
-``tails`` kinds, all with ``--threads 1``, plus ``experiment`` on ``jordan``
-and ``toeplitz(0,1,0.5,0.25)`` with ``--threads 3``, so that a tree that
-splits work across threads differently is held to the same bytes.
+about 5 MB of CSV and 8 MB of SVG) and ``scaling`` on ``jordan``, all with
+``--threads 1``, the five ``tails`` kinds (which take no ``--threads``), plus
+``experiment`` on ``jordan`` and ``toeplitz(0,1,0.5,0.25)`` with
+``--threads 3``, so that a tree that splits work across threads differently
+is held to the same bytes.
 The script prints each output file whose sha256 differs, or that only one
 tree wrote, and exits 1 if there is any; a run that fails in either tree
 counts as a difference.
@@ -39,7 +40,7 @@ SINGLE_THREAD = {name: "1" for name in
 
 
 def runs():
-    """(name, command, config body, threads) of every compared run."""
+    """(name, command, config body, threads or None) of every compared run."""
     for structure in EXPERIMENT_STRUCTURES:
         yield (f"experiment-{structure}", "experiment",
                f"structure = {structure}\nd = 100\neps = 2.0\ntrials = 100\n", 1)
@@ -52,7 +53,7 @@ def runs():
            "structure = jordan\ndims = 64,128,256\neps = 2.0\ntrials = 20\n", 1)
     for which in TAIL_KINDS:
         # 45000 trials draw in three chunks of at most 20000
-        yield f"tails-{which}", "tails", f"which = {which}\nd = 40\ntrials = 45000\n", 1
+        yield f"tails-{which}", "tails", f"which = {which}\nd = 40\ntrials = 45000\n", None
 
 
 def run_tree(src, root):
@@ -64,11 +65,11 @@ def run_tree(src, root):
     for name, command, body, threads in runs():
         cfg = root / f"{name}.cfg"
         cfg.write_text(f"[experiment]\n{body}seed = {SEED}\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "pseudoscope.cli", command, "--config", str(cfg),
-             "--out", str(root / name), "--threads", str(threads)],
-            cwd=root, env=env, capture_output=True, text=True,
-        )
+        argv = [sys.executable, "-m", "pseudoscope.cli", command, "--config", str(cfg),
+                "--out", str(root / name)]
+        if threads is not None:
+            argv += ["--threads", str(threads)]
+        proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
         if proc.returncode != 0:
             print(f"{src}: {name} exited {proc.returncode}: {proc.stderr.strip()}")
             failed.append(name)
