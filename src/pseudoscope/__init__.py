@@ -2,6 +2,9 @@
 rank-1 random perturbations: structured solvers, concentration regions,
 and a reproducible Monte Carlo harness."""
 
+# numpy imports these on first use (numpy.ma in np.unique): at start-up, not in a run
+import numpy.ma, numpy.polynomial, numpy.random  # noqa: F401
+
 from .errors import (
     ConfigError,
     ConvergenceError,

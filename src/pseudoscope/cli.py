@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, ExperimentError, ShapeError
+from .errors import ConfigError, ConvergenceError, ExperimentError, ShapeError
 from .experiments import (
     SOLVER_DENSE,
     ExperimentConfig,
@@ -320,10 +320,10 @@ def cmd_oracle_check(args):
         for trial in range(args.trials):
             d = int(rng.integers(5, args.d_max + 1))
             pert = rank1_perturbation(d, 2.0, SeededRng(777, trial))
-            base = spec.base_matrix(d)
-            lams = solve(base, pert, route).eigenvalues
-            dense = solve(base, pert, SOLVER_DENSE)
-            dist = spectrum_match_distance(lams, dense.eigenvalues)
+            [fast], [dense] = (solve(spec, d, [pert], r) for r in (route, SOLVER_DENSE))
+            if isinstance(fast, ConvergenceError):
+                raise fast
+            dist = spectrum_match_distance(fast, dense)
             scale = 1.0 + float(np.max(np.abs(dense.eigenvalues)))
             if dist > 1e-8 * scale:
                 failed = True

@@ -17,7 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from . import fixtures
 from .errors import ConfigError, ConvergenceError, ExperimentError, ShapeError
@@ -92,37 +91,31 @@ def check_route(solver, structure):
     raise ConfigError(f"the {solver} solver does not apply to the {structure.label()} structure")
 
 
-def _linear_coefficients(base):
-    """``(a0, a1)`` of a base ``a0 I + a1 J`` with ``a1 != 0``, d >= 2; a
-    :class:`ShapeError` for any other base, which jordan-poly does not model."""
-    base = np.asarray(base)
-    if base.ndim != 2 or base.shape[0] != base.shape[1] or base.shape[0] < 2:
-        raise ShapeError(f"jordan-poly needs a square base with d >= 2, got {base.shape}")
-    diagonal, upper = np.diagonal(base), np.diagonal(base, 1)
-    a0, a1 = diagonal[0], upper[0]
-    # every other entry is zero when the two diagonals hold all the nonzeros
-    if (a1 == 0 or np.any(diagonal != a0) or np.any(upper != a1)
-            or np.count_nonzero(base) != np.count_nonzero(diagonal) + upper.size):
-        raise ShapeError("jordan-poly applies only to a base a0 I + a1 J with a1 != 0")
-    return a0, a1
+def solve(structure, d, perts, route):
+    """The base of ``structure`` at dimension ``d`` plus each rank-1
+    perturbation in ``perts``, solved by one route: one :class:`Spectrum` or
+    :class:`ConvergenceError` per perturbation, in order.
 
-
-def solve(base, pert, route):
-    """Spectrum of ``base`` plus the rank-1 perturbation ``pert`` by one
-    solver route.
-
-    The route functions are looked up in this module at call time, so a
-    patch of ``pseudoscope.experiments.<name>`` reaches every solve.
+    ``jordan-poly`` takes ``(a0, a1)`` from a degree-1 symbol (any other
+    structure is a :class:`ShapeError`) and makes one :func:`poly_roots`
+    call; the other routes build the base once (only ``dense-qr`` the dense
+    d x d array) and solve each perturbation.  Route functions are looked
+    up in this module at call time, so a patch here reaches every solve.
     """
     if route == SOLVER_JORDAN_POLY:
+        if auto_route(structure) != SOLVER_JORDAN_POLY:
+            raise ShapeError(f"jordan-poly needs a degree-1 symbol, not {structure.label()}")
         # a0 I + a1 J + E has the eigenvalues a0 + a1 nu of J + E / a1
-        a0, a1 = _linear_coefficients(base)
-        nu = poly_roots(charpoly_jordan_rank1(pert, pert.scale / a1))
-        return Spectrum(a0 + a1 * nu.eigenvalues, abs(a1) * nu.residual)
+        a0, a1 = structure.symbol().coeffs
+        tails = np.stack([charpoly_jordan_rank1(p, p.scale / a1) for p in perts])
+        return [nu if isinstance(nu, ConvergenceError)
+                else Spectrum(a0 + a1 * nu.eigenvalues, abs(a1) * nu.residual)
+                for nu in poly_roots(tails)]
+    base = structure.base_matrix(d)
     if route == SOLVER_RESOLVENT:
-        return eigen_resolvent_aberth(base, pert)
+        return [eigen_resolvent_aberth(base, p) for p in perts]
     if route == SOLVER_DENSE:
-        return dense_eigenvalues(apply_perturbation(base, pert))
+        return [dense_eigenvalues(apply_perturbation(base, p)) for p in perts]
     raise ConfigError(f"unknown solver route {route!r}")
 
 
@@ -326,36 +319,32 @@ def run_experiment(cfg: ExperimentConfig, threads=1) -> ConcentrationReport:
     eigenvalue of the run against the structure's concentration region in
     one pass.
 
-    Worker threads only sample and solve.  A trial whose solve raises
+    Worker threads only sample and solve, each one contiguous block of
+    trials in one :func:`solve` call.  A trial whose solve gives a
     :class:`ConvergenceError` is a failed trial and has no row in the
     report's arrays; more than 1% failed trials aborts the run.
     """
     start = time.perf_counter()
     solver = cfg.resolved_solver()
     region, exclusion = build_region(cfg)
-    base = cfg.structure.base_matrix(cfg.d)
 
-    def one_trial(i):
-        pert = rank1_perturbation(cfg.d, cfg.eps, SeededRng(cfg.seed, i))
-        try:
-            return solve(base, pert, solver).eigenvalues
-        except ConvergenceError:
-            return None
+    def solve_block(block):
+        perts = (rank1_perturbation(cfg.d, cfg.eps, SeededRng(cfg.seed, i)) for i in block)
+        return solve(cfg.structure, cfg.d, perts, solver)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            spectra = list(pool.map(one_trial, range(cfg.trials)))
-    else:
-        spectra = [one_trial(i) for i in range(cfg.trials)]
+    blocks = np.array_split(np.arange(cfg.trials), max(1, min(threads, cfg.trials)))
+    with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+        parts = map(solve_block, blocks) if len(blocks) == 1 else pool.map(solve_block, blocks)
+        spectra = [s for part in parts for s in part]
 
-    indices = np.flatnonzero([lams is not None for lams in spectra])
+    indices = np.flatnonzero([not isinstance(s, ConvergenceError) for s in spectra])
     failed = cfg.trials - indices.size
     if failed > _FAILURE_CAP * cfg.trials:
         raise ExperimentError(
             f"{failed} of {cfg.trials} trials failed, above the {_FAILURE_CAP:.0%} cap"
         )
     # every spectrum has d values, and the cap leaves at least one trial
-    eigenvalues = np.stack([spectra[i] for i in indices])
+    eigenvalues = np.stack([spectra[i].eigenvalues for i in indices])
     flat = eigenvalues.reshape(-1)
     devs, outward, in_region = region.classify(flat)
     in_exclusion = exclusion.mask(flat) if exclusion is not None else np.zeros_like(in_region)
@@ -469,6 +458,9 @@ def tail_norm_concentration(d, t_grid, trials, seed):
     """Empirical one-sided tails of ``|xi|^2`` about its mean d, next to the
     exact values from the Gamma(d, 1) law of a sum of d unit exponentials.
     """
+    # imported here: loading scipy would add about 0.2 s to every CLI start-up
+    from scipy import special
+
     if d < 2:
         raise ShapeError("d must be at least 2")
     _check_trials(trials)

@@ -6,17 +6,19 @@ Three routes:
   and every degree-1 symbol), the eigenvalues ``a0 + a1 nu``, where ``nu``
   are the roots of the closed-form characteristic polynomial of
   ``J + E / a1``, found by Aberth-Ehrlich iteration from the Newton
-  polygon's starting points (6 to 18 sweeps at every d from 64 to 512)
-  and certified with disjoint Weierstrass inclusion discs,
+  polygon's starting points (6 to 18 sweeps at every d from 64 to 512),
+  certified with disjoint Weierstrass inclusion discs, one iteration per
+  block of trials, in memory linear in d,
 * ``resolvent-aberth``: for a diagonal base, deflate repeated diagonal
   values exactly and take the moved roots as the eigenvalues of one
   m x m matrix over the m distinct values (about 0.1 ms per trial for
   ``diagonal(2,3)`` at d=512, one BLAS thread),
 * ``dense-qr``: LAPACK's Hessenberg-QR eigensolver, the route for every
-  other base and the cross-validation oracle.
+  other base and the cross-validation oracle; the only route that builds
+  the dense d x d base.
 
 ``pseudoscope.experiments.auto_route`` picks a structure's route, and
-``solve`` dispatches to it.
+``solve`` dispatches a block of trials to it.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ __all__ = [
 ]
 
 _ANGLE_OFFSET = 0.37  # radians; breaks root symmetry in circular starts
+# Most complex entries in one block of pairwise root differences (1 MB).
+_BLOCK_ENTRIES = 2**16
 
 
 @dataclass
@@ -78,31 +82,58 @@ def _quadratic_roots(b, c):
     return np.array([q, c / q])
 
 
-def _aberth_polynomial(full, z0, tol=1e-13, max_sweeps=500):
-    """Simultaneous root iteration for an explicit monic polynomial.
+def _horner(coeffs, rows, x):
+    """``polyval(x[e], coeffs[:, rows[e]])`` for each element e by numpy's
+    Horner steps in numpy's order, so every value is bitwise ``polyval``'s."""
+    acc = coeffs[-1].take(rows) + x * 0
+    for c in coeffs[-2::-1]:
+        acc = c.take(rows) + acc * x
+    return acc
 
-    Converged roots are frozen but stay in the mutual-repulsion sums;
-    sweeps only touch the active set.  Returns (roots, converged, sweeps).
-    """
-    d = full.size - 1
-    dfull = full[1:] * np.arange(1, d + 1)
-    centroid = -full[-2] / d
-    z = z0.copy()
-    conv = np.zeros(d, dtype=bool)
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        act = np.flatnonzero(~conv)
-        if act.size == 0:
+
+def _differences(x, rows, cols, z, own):
+    """Yield ``(r, block, diff)`` for blocks of consecutive elements e of
+    ``x`` in one row ``r = rows[e]`` (sorted): ``diff[k, j] = x[e] - z[r, j]``
+    for the k-th, but ``own`` at its own column ``cols[e]``.  A block holds
+    at most ``_BLOCK_ENTRIES`` entries (or one element)."""
+    step = max(1, _BLOCK_ENTRIES // z.shape[1])
+    segments, firsts = np.unique(rows, return_index=True)
+    for r, first, last in zip(segments, firsts, [*firsts[1:], x.size]):
+        for start in range(first, last, step):
+            block = slice(start, min(start + step, last))
+            diff = x[block, None] - z[r]
+            diff[np.arange(diff.shape[0]), cols[block]] = own
+            yield r, block, diff
+
+
+def _aberth(full, z, tol=1e-13, max_sweeps=500):
+    """Aberth-Ehrlich iteration on the monic polynomials ``full`` (m, n + 1),
+    ascending, from the starts ``z`` (m, n), updated in place.  A sweep moves
+    every unconverged root of every row from the previous sweep's roots, so
+    no row depends on another; converged roots are frozen but stay in the
+    repulsion sums.  Returns (z, conv, sweeps per row)."""
+    m, n = z.shape
+    # one Horner pass gives p' (numpy's coefficients k c_k) and p but for its
+    # last step: pair[j] holds every row's c_{j+1}, then every (j+1) c_{j+1}
+    pair = np.concatenate([full[:, 1:], full[:, 1:] * np.arange(1, n + 1)]).T.copy()
+    centroid = -full[:, -2] / n
+    conv = np.zeros((m, n), dtype=bool)
+    sweeps = np.zeros(m, dtype=int)
+    for _ in range(max_sweeps):
+        rows, cols = np.nonzero(~conv)
+        if rows.size == 0:
             break
-        za = z[act]
+        sweeps[np.unique(rows)] += 1
+        za = z[rows, cols]
         with np.errstate(all="ignore"):
-            pv = np.polynomial.polynomial.polyval(za, full)
-            dv = np.polynomial.polynomial.polyval(za, dfull)
+            both = _horner(pair, np.concatenate([rows, rows + m]), np.concatenate([za, za]))
+            pv = full[:, 0].take(rows) + both[: za.size] * za
+            dv = both[za.size :]
             ok = np.isfinite(pv) & np.isfinite(dv) & (dv != 0)
             newton = np.where(ok, pv / np.where(dv == 0, 1.0, dv), 0.0)
-            diff = za[:, None] - z[None, :]
-            diff[np.arange(act.size), act] = np.inf
-            rep = np.sum(1.0 / diff, axis=1)
+            ok &= (newton != 0) | (pv == 0)  # a zero quotient of p != 0 overflowed
+            rep = np.concatenate([np.sum(np.divide(1.0, diff, out=diff), axis=1)
+                                  for _, _, diff in _differences(za, rows, cols, z, np.inf)])
             denom = 1.0 - newton * rep
             w = np.where(denom != 0, newton / np.where(denom == 0, 1.0, denom), newton)
         znew = za - w
@@ -110,14 +141,11 @@ def _aberth_polynomial(full, z0, tol=1e-13, max_sweeps=500):
         # contract toward the root centroid with a symmetry-breaking nudge
         bad = ~np.isfinite(znew) | ~ok
         if np.any(bad):
-            znew[bad] = (
-                centroid
-                + 0.7 * (za[bad] - centroid)
-                + 1e-3 * (1.0 + np.abs(za[bad])) * np.exp(1j * _ANGLE_OFFSET)
-            )
-        z[act] = znew
+            c, nudge = centroid[rows[bad]], 1e-3 * (1.0 + np.abs(za[bad]))
+            znew[bad] = c + 0.7 * (za[bad] - c) + nudge * np.exp(1j * _ANGLE_OFFSET)
+        z[rows, cols] = znew
         step = np.abs(znew - za)
-        conv[act] |= (step <= tol * (1.0 + np.abs(znew))) & ~bad
+        conv[rows, cols] |= (step <= tol * (1.0 + np.abs(znew))) & ~bad
     return z, conv, sweeps
 
 
@@ -151,75 +179,92 @@ def _newton_polygon_starts(full):
     return np.concatenate(starts)
 
 
-def _certificate_radius(full, roots):
-    """Largest Weierstrass inclusion radius of approximate roots of the
-    monic ``full`` (Braess & Hadeler 1973; Carstensen 1991).
+def _certify(full, roots):
+    """Each row's largest Weierstrass inclusion radius of the approximate
+    roots ``roots`` (m, n) of the monic ``full`` (m, n + 1), or a
+    :class:`ConvergenceError` where two discs overlap, since then a root
+    may be duplicated or missed (Braess & Hadeler 1973; Carstensen 1991).
 
-    ``r_i = d (|p(z_i)| + e_i) / prod_{j != i} |z_i - z_j|``, where
-    ``e_i = 2 d u sum_k |c_k| |z_i|^k`` bounds the rounding of Horner's
+    ``r_i = n (|p(z_i)| + e_i) / prod_{j != i} |z_i - z_j|``, where
+    ``e_i = 2 n u sum_k |c_k| |z_i|^k`` bounds the rounding of Horner's
     evaluation.  The union of the discs holds every root, and a connected
     component of m discs holds exactly m of them, so disjoint discs hold
     one root each.  The product is summed as logs so it cannot overflow.
-    Two discs that overlap raise :class:`ConvergenceError`, since then a
-    root may be duplicated or missed.
     """
-    d = roots.size
-    horner = np.abs(np.polynomial.polynomial.polyval(roots, full))
-    scale = np.polynomial.polynomial.polyval(np.abs(roots), np.abs(full))
-    bound = horner + 2.0 * d * (np.finfo(float).eps / 2.0) * scale
-    dist = np.abs(roots[:, None] - roots[None, :])
-    np.fill_diagonal(dist, 1.0)
+    m, n = roots.shape
+    rows, cols = np.divmod(np.arange(m * n), n)
+    x, coeffs = roots.reshape(-1), full.T.copy()
+    scale = _horner(np.abs(coeffs), rows, np.abs(x))
+    bound = np.abs(_horner(coeffs, rows, x)) + 2.0 * n * (np.finfo(float).eps / 2.0) * scale
+    logs = np.empty(x.size)
+    for _, block, diff in _differences(x, rows, cols, roots, 1.0):
+        logs[block] = np.log(np.abs(diff)).sum(axis=1)
     with np.errstate(divide="ignore", over="ignore"):
-        radii = np.exp(np.log(d * bound) - np.log(dist).sum(axis=1))
-    np.fill_diagonal(dist, np.inf)
-    overlap = dist <= radii[:, None] + radii[None, :]
-    if np.any(overlap):
-        i, j = np.unravel_index(int(np.argmax(overlap)), overlap.shape)
-        raise ConvergenceError(
-            f"inclusion discs of roots {i} and {j} overlap "
-            f"(radii {radii[i]:.3e} and {radii[j]:.3e}, distance {dist[i, j]:.3e})",
-            roots=roots,
-            radii=radii,
-        )
-    return float(np.max(radii))
+        radii = np.exp(np.log(n * bound) - logs).reshape(m, n)
+    results = [float(np.max(r)) for r in radii]
+    # the blocks run in row-major order: a row reports its first overlap
+    for r, block, diff in _differences(x, rows, cols, roots, np.inf):
+        dist = np.abs(diff)
+        overlap = dist <= radii[r, cols[block], None] + radii[r]
+        if np.any(overlap) and not isinstance(results[r], ConvergenceError):
+            k, j = np.unravel_index(int(np.argmax(overlap)), overlap.shape)
+            i = cols[block][k]
+            results[r] = ConvergenceError(
+                f"inclusion discs of roots {i} and {j} overlap (radii {radii[r, i]:.3e}"
+                f" and {radii[r, j]:.3e}, distance {dist[k, j]:.3e})",
+                roots=roots[r], radii=radii[r])
+    return results
 
 
-def poly_roots(tail, max_sweeps=500) -> Spectrum:
-    """All roots of the monic polynomial with the ascending tail
+def poly_roots(tails, max_sweeps=500):
+    """All roots of each monic polynomial with the ascending tail
     ``(c_0, ..., c_{d-1})``, each certified by an inclusion disc.
 
-    Vanishing trailing coefficients ``c_0 = .. = c_{m-1} = 0`` give m exact
-    zero roots, which are split off first.  Of the rest, degrees 1 and 2
-    use closed forms; higher degrees run Aberth-Ehrlich from the Newton
-    polygon's starting points.  The residual is the largest Weierstrass
-    inclusion radius of the computed roots: each disc holds exactly one
-    root.  A :class:`ConvergenceError` reports roots that did not converge
-    or discs that overlap.
+    ``tails`` is one tail, which gives its :class:`Spectrum` or raises its
+    :class:`ConvergenceError`, or a stack (m, d), which gives a list of one
+    of them per row.  Rows with k vanishing trailing coefficients have k
+    exact zero roots, split off first, and form one group; degrees 1 and 2
+    of the rest use closed forms, higher degrees one Aberth-Ehrlich
+    iteration over the group from the Newton polygon's starting points.
+    Pairwise root differences are taken in blocks of at most
+    ``_BLOCK_ENTRIES`` entries, so no temporary is d x d, and each row's
+    roots and residual are bitwise those of the row solved alone.  The residual
+    is the largest Weierstrass inclusion radius: each disc holds exactly
+    one root.  The error reports unconverged roots or overlapping discs.
     """
-    tail = as_complex_vector(tail, name="polynomial coefficients")
-    d = tail.size
-    full = np.append(tail, 1.0 + 0j)
-    m = int(np.argmax(full != 0))
-    full = full[m:]
-    zeros = np.zeros(m, dtype=np.complex128)
-    if m == d:
-        return Spectrum(zeros, 0.0)
-    if full.size == 2:
-        roots = np.array([-full[0]])
-    elif full.size == 3:
-        roots = _quadratic_roots(full[1], full[0])
-    else:
-        roots, conv, _ = _aberth_polynomial(
-            full, _newton_polygon_starts(full), max_sweeps=max_sweeps
-        )
-        if not conv.all():
-            raise ConvergenceError(
-                f"{int((~conv).sum())} of {d} roots did not converge",
-                converged=np.concatenate([np.ones(m, dtype=bool), conv]),
-                roots=np.concatenate([zeros, roots]),
-            )
-    radius = _certificate_radius(full, roots)
-    return Spectrum(np.concatenate([zeros, roots]), radius)
+    stack = np.asarray(tails, dtype=np.complex128)
+    if stack.ndim == 1:
+        [result] = poly_roots(stack[None], max_sweeps)
+        if isinstance(result, ConvergenceError):
+            raise result
+        return result
+    if stack.ndim != 2:
+        raise ShapeError(f"polynomial tails must be 1-D or 2-D, got shape {stack.shape}")
+    as_complex_vector(stack.reshape(-1), name="polynomial coefficients")
+    m, d = stack.shape
+    full = np.concatenate([stack, np.ones((m, 1))], axis=1)
+    zero_counts = np.argmax(full != 0, axis=1)
+    results = [Spectrum(np.zeros(d), 0.0) if k == d else None for k in zero_counts]
+    for k in np.unique(zero_counts[zero_counts < d]):
+        rows = np.flatnonzero(zero_counts == k)
+        group, n, zeros = full[rows, k:], d - k, np.zeros(k, dtype=np.complex128)
+        if n <= 2:  # closed forms
+            roots = (-group[:, :1] if n == 1
+                     else np.stack([_quadratic_roots(c[1], c[0]) for c in group]))
+            conv = np.ones(roots.shape, dtype=bool)
+        else:
+            starts = np.stack([_newton_polygon_starts(c) for c in group])
+            roots, conv, _ = _aberth(group, starts, max_sweeps=max_sweeps)
+        done = conv.all(axis=1)
+        for r, z, c in zip(rows[~done], roots[~done], conv[~done]):
+            results[r] = ConvergenceError(
+                f"{int((~c).sum())} of {d} roots did not converge",
+                converged=np.concatenate([np.ones(k, dtype=bool), c]),
+                roots=np.concatenate([zeros, z]))
+        for r, z, radius in zip(rows[done], roots[done], _certify(group[done], roots[done])):
+            results[r] = radius if isinstance(radius, ConvergenceError) else Spectrum(
+                np.concatenate([zeros, z]), radius)
+    return results
 
 
 def eigen_resolvent_aberth(diag, p: RankOnePerturbation) -> Spectrum:

@@ -94,9 +94,8 @@ def test_criterion_03_cross_solver_equivalence():
         spec = specs[trial % 3]
         d = int(rng.integers(5, 51))
         pert = rank1_perturbation(d, 2.0, SeededRng(SEED, trial))
-        base = spec.base_matrix(d)
-        fast = solve(base, pert, auto_route(spec))
-        dense = solve(base, pert, "dense-qr")
+        [fast] = solve(spec, d, [pert], auto_route(spec))
+        [dense] = solve(spec, d, [pert], "dense-qr")
         scale = 1.0 + float(np.max(np.abs(dense.eigenvalues)))
         dist = spectrum_match_distance(fast, dense)
         worst_ratio = max(worst_ratio, dist / (1e-8 * scale))

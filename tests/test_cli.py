@@ -278,12 +278,13 @@ def test_oracle_check_passes_and_corrupt_hook_fails(tmp_path, monkeypatch, capsy
     assert "toeplitz(3,2) (jordan-poly)" in out and "dense-qr" not in out
     real = cli.solve
 
-    def corrupted(base, pert, route):
-        spectrum = real(base, pert, route)
+    def corrupted(structure, d, perts, route):
+        spectra = real(structure, d, perts, route)
         if route != "dense-qr":
-            spectrum.eigenvalues = spectrum.eigenvalues.copy()
-            spectrum.eigenvalues[0] += 1e-5
-        return spectrum
+            for spectrum in spectra:
+                spectrum.eigenvalues = spectrum.eigenvalues.copy()
+                spectrum.eigenvalues[0] += 1e-5
+        return spectra
 
     monkeypatch.setattr(cli, "solve", corrupted)
     assert main(["oracle-check", "--d-max", "20", "--trials", "4"]) == 1
@@ -339,16 +340,31 @@ def test_threads_below_one_exit_2(tmp_path, monkeypatch, capsys, command):
     assert main([command, "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
 
 
+def _child_env():
+    """The environment of a child python that imports this tree's src: the
+    child does not see pytest's pythonpath setting."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported by the functions that use it (the norm tail table,
+    # spectrum matching), so a CLI start-up does not pay for it
+    code = "import sys, pseudoscope.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_module_entrypoint_subprocess(tmp_path):
     cfg = _write(tmp_path, EXPERIMENT_CFG)
     out = str(tmp_path / "out")
-    # the child does not see pytest's pythonpath setting, so hand it src
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "pseudoscope.cli", "experiment",
          "--config", cfg, "--out", out],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "containment" in proc.stdout

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,19 +105,35 @@ def test_exclusion_accounting_present_only_for_general_symbol():
 
 
 def test_failure_cap_aborts_run(monkeypatch):
-    calls = {"n": 0}
     real = exp.poly_roots
 
-    # jordan-poly is the one iterative route, so the one that can fail
-    def flaky(poly):
-        calls["n"] += 1
-        if calls["n"] % 3 == 0:
-            raise ConvergenceError("forced failure")
-        return real(poly)
+    # jordan-poly is the one iterative route, so the one that can fail; a
+    # block's failed rows come back as errors, here every third one
+    def flaky(tails):
+        results = real(tails)
+        for k in range(2, len(results), 3):
+            results[k] = ConvergenceError("forced failure")
+        return results
 
     monkeypatch.setattr(exp, "poly_roots", flaky)
     with pytest.raises(ExperimentError):
         run_experiment(_cfg("jordan", 20, 30))
+
+
+def test_jordan_run_memory_stays_bounded():
+    # jordan-poly builds no d x d base, and the repulsion sums and the
+    # certificate take the pairwise root differences in bounded blocks, so
+    # a d=2048 run peaks at about 5 MB traced; one d x d complex array
+    # alone is 67 MB, and the unblocked solve peaked at 193 MB
+    cfg = _cfg("jordan", 2048, 2)
+    tracemalloc.start()
+    try:
+        report = run_experiment(cfg)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert report.failed_trials == 0
+    assert peak_mb < 32, peak_mb
 
 
 def test_corner_region_is_band_of_scaled_identity():

@@ -17,10 +17,8 @@ from pseudoscope import (
     poly_roots,
     rank1_perturbation,
     spectrum_match_distance,
-    toeplitz_from_symbol,
 )
-from pseudoscope.experiments import StructureSpec, solve
-from pseudoscope.linalg import PolySymbol
+from pseudoscope.experiments import StructureSpec, auto_route, solve
 from pseudoscope.sampling import RankOnePerturbation
 
 from closed_forms import corner_eigenvalues, jordan_nilpotent
@@ -104,6 +102,46 @@ def test_poly_roots_splits_off_exact_zero_roots():
     assert 0 < s.residual <= 1e-10
 
 
+def test_poly_roots_stack_matches_rows_solved_alone():
+    # a stack is one Aberth iteration over all its rows, yet each row's
+    # roots and residual are bitwise those of the row solved alone.  The
+    # rows mix three jordan polynomials, three exact zero roots, a degree-2
+    # remainder and a quadruple root that does not converge in 20 sweeps
+    d = 16
+    jordan = [charpoly_jordan_rank1(rank1_perturbation(d, 2.0, SeededRng(95, t)))
+              for t in range(3)]
+    zeros, quadratic = np.zeros((2, d), dtype=complex)
+    zeros[3] = -(0.5**13)  # z^3 (z^13 - 0.5^13)
+    quadratic[-2:] = [1.0, 0.5]  # z^14 (z^2 + 0.5 z + 1)
+    circle = 2 * np.exp(2j * np.pi * np.arange(12) / 12)
+    quadruple = np.polynomial.polynomial.polyfromroots([1, 1, 1, 1, *circle])[:-1]
+    stack = np.stack([jordan[0], zeros, jordan[1], quadratic, quadruple, jordan[2]])
+    results = poly_roots(stack, max_sweeps=20)
+    assert len(results) == len(stack)
+    for tail, got in zip(stack, results):
+        try:
+            want = poly_roots(tail, max_sweeps=20)
+        except ConvergenceError as error:
+            want = error
+        assert type(got) is type(want)
+        if isinstance(want, ConvergenceError):
+            assert str(got) == str(want)
+            assert got.diagnostics.keys() == want.diagnostics.keys()
+            for key, value in want.diagnostics.items():
+                assert getattr(got, key).tobytes() == value.tobytes()
+        else:
+            assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+            assert got.residual == want.residual
+    failed = results[4]
+    assert str(failed) == "4 of 16 roots did not converge"
+    assert failed.converged.shape == failed.roots.shape == (d,)
+    assert np.count_nonzero(~failed.converged) == 4
+    assert np.count_nonzero(results[1].eigenvalues == 0) == 3
+    assert np.count_nonzero(results[3].eigenvalues == 0) == d - 2
+    for k in (0, 1, 2, 3, 5):
+        assert 0 < results[k].residual <= 1e-10
+
+
 def test_poly_roots_roots_spread_over_many_scales():
     # the Newton polygon starts each scale on its own circle
     expected = np.array([1e-4, 2e-4j, 1, -1, 1j, 0.5 + 0.5j, 1e4, -1e4j])
@@ -119,9 +157,23 @@ def test_newton_polygon_starts_need_few_sweeps():
     # the starts keep the sweep count flat in d (13 to 16 at d=256, eps=2)
     for d in (64, 256):
         full = np.append(charpoly_jordan_rank1(rank1_perturbation(d, 2.0, SeededRng(11, 0))), 1)
-        _, conv, sweeps = spectra._aberth_polynomial(full, spectra._newton_polygon_starts(full))
+        starts = spectra._newton_polygon_starts(full)
+        _, conv, sweeps = spectra._aberth(full[None], starts[None])
         assert conv.all()
-        assert sweeps <= 30
+        assert sweeps.max() <= 30
+
+
+def test_poly_roots_recovers_from_overflowed_newton_quotient():
+    # one iterate of this trial reaches |z| = 15.8 at d=256, where p and p'
+    # are finite (about 1e307 and 2e308) but their complex quotient
+    # overflows to 0.  Taken as a step, it would freeze there as converged
+    # and fail the certificate; it is stranded instead, and contracted
+    # toward the roots like an overflowed evaluation
+    d = 256
+    p = rank1_perturbation(d, 2.0, SeededRng(9131, 0))
+    s = poly_roots(charpoly_jordan_rank1(p))
+    dense = dense_eigenvalues(apply_perturbation(jordan_nilpotent(d), p))
+    assert spectrum_match_distance(s, dense) <= 1e-8 * (1 + np.max(np.abs(dense.eigenvalues)))
 
 
 def test_poly_roots_rejects_double_root():
@@ -136,8 +188,8 @@ def test_certificate_rejects_duplicated_root(monkeypatch):
     full = np.polynomial.polynomial.polyfromroots([1, 1, -2, 3j])
     claimed = np.array([1, 1 + 1e-9, -2, 3j], dtype=complex)
     monkeypatch.setattr(
-        spectra, "_aberth_polynomial",
-        lambda *args, **kwargs: (claimed, np.ones(4, dtype=bool), 1),
+        spectra, "_aberth",
+        lambda *args, **kwargs: (claimed[None], np.ones((1, 4), dtype=bool), np.ones(1)),
     )
     with pytest.raises(ConvergenceError, match="overlap") as info:
         poly_roots(full[:-1])
@@ -156,10 +208,8 @@ def test_jordan_poly_results_are_certified(eps):
     for structure in map(StructureSpec.parse, LINEAR_SYMBOLS):
         a0, a1 = structure.symbol().coeffs
         for d in (64, 256, 512):
-            base = structure.base_matrix(d)
-            for trial in range(3):
-                p = rank1_perturbation(d, eps, SeededRng(93, trial))
-                s = solve(base, p, "jordan-poly")
+            perts = [rank1_perturbation(d, eps, SeededRng(93, trial)) for trial in range(3)]
+            for p, s in zip(perts, solve(structure, d, perts, "jordan-poly")):
                 gaps = np.abs(s.eigenvalues[:, None] - s.eigenvalues[None, :])
                 np.fill_diagonal(gaps, np.inf)
                 assert 0 < s.residual <= 1e-8 * abs(a1)
@@ -179,7 +229,8 @@ def test_jordan_poly_closed_form_modulus_at_small_eps():
         within = []
         for trial in range(10):
             p = rank1_perturbation(d, 1e-12, SeededRng(0, trial))
-            lams = solve(jordan_nilpotent(d), p, "jordan-poly").eigenvalues
+            [s] = solve(StructureSpec("jordan"), d, [p], "jordan-poly")
+            lams = s.eigenvalues
             r = abs(p.scale * np.conj(p.v[0]) * p.u[-1]) ** (1.0 / d)
             ratio = np.abs(lams) / r
             assert ratio.max() <= 1.1
@@ -208,11 +259,11 @@ def test_resolvent_two_cluster_diagonal_vs_dense():
 def test_resolvent_rejects_triangular_base():
     d = 40
     p = rank1_perturbation(d, 2.0, SeededRng(79, 1))
-    for t in (toeplitz_from_symbol(PolySymbol([3, 2, 1]), d), jordan_nilpotent(d)):
+    for structure in ("toeplitz(3,2,1)", "jordan"):
         with pytest.raises(ShapeError):
-            eigen_resolvent_aberth(t, p)
+            eigen_resolvent_aberth(StructureSpec.parse(structure).base_matrix(d), p)
         with pytest.raises(ShapeError):
-            solve(t, p, "resolvent-aberth")
+            solve(StructureSpec.parse(structure), d, [p], "resolvent-aberth")
     # the route takes the 1-D diagonal only, never its dense matrix
     values = StructureSpec.parse("diagonal(2,3)").diagonal_entries(d)
     with pytest.raises(ShapeError):
@@ -220,17 +271,18 @@ def test_resolvent_rejects_triangular_base():
 
 
 def test_jordan_poly_rejects_base_it_does_not_model():
-    # the route models a0 I + a1 J only; a corner entry, a second
-    # superdiagonal, a diagonal or a 1-D base would be silently dropped
+    # the route models a0 I + a1 J only, read from a degree-1 symbol; a
+    # corner entry, a second superdiagonal or a diagonal would be silently
+    # dropped, so every other structure is refused
     d = 40
     p = rank1_perturbation(d, 2.0, SeededRng(79, 1))
-    values = StructureSpec.parse("diagonal(2,3)").diagonal_entries(d)
-    for t in (jordan_corner(d, 0.5), toeplitz_from_symbol(PolySymbol([3, 2, 1]), d),
-              np.diag(values), np.zeros((d, d)), values, np.ones(1)):
+    for structure in ("jordan-corner(0.5)", "toeplitz(3,2,1)", "diagonal(2,3)", "zero",
+                      "scalar(1)"):
         with pytest.raises(ShapeError):
-            solve(t, p, "jordan-poly")
-    for t in (jordan_nilpotent(d), toeplitz_from_symbol(PolySymbol([3, 2]), d)):
-        assert solve(t, p, "jordan-poly").eigenvalues.size == d
+            solve(StructureSpec.parse(structure), d, [p], "jordan-poly")
+    for structure in ("jordan", "toeplitz(3,2)"):
+        [s] = solve(StructureSpec.parse(structure), d, [p], "jordan-poly")
+        assert s.eigenvalues.size == d
 
 
 def test_resolvent_rejects_dim_mismatch():
@@ -279,28 +331,29 @@ def test_match_distance_rejects_length_mismatch():
 _STRUCTURE_STREAMS = {"jordan": 0, "diagonal": 1, "three-cluster": 2, "near-cluster": 3}
 
 
-def _structure_case(kind, d):
-    """Base matrix and fast route of each structure kind under test."""
-    if kind == "jordan":
-        return jordan_nilpotent(d), "jordan-poly"
-    if kind == "diagonal":
-        diag = np.array([2.0] * (d // 2) + [3.0] * (d - d // 2), dtype=complex)
-    elif kind == "three-cluster":  # one cluster off the real axis
-        diag = StructureSpec.parse("diagonal(1,2,3j)").diagonal_entries(d)
-    else:  # two clusters 1e-3 apart, two off the real axis
-        diag = StructureSpec.parse("diagonal(1,1.001,5,7j,2+2j)").diagonal_entries(d)
-    return diag, "resolvent-aberth"
+# The structure of each kind under test: the three-cluster case has one
+# cluster off the real axis, the near-cluster case two clusters 1e-3 apart
+# and two off the real axis.
+_STRUCTURES = {"jordan": "jordan", "diagonal": "diagonal(2,3)",
+               "three-cluster": "diagonal(1,2,3j)",
+               "near-cluster": "diagonal(1,1.001,5,7j,2+2j)"}
+
+
+def _structure_case(kind):
+    """Structure and fast route of each structure kind under test."""
+    structure = StructureSpec.parse(_STRUCTURES[kind])
+    return structure, auto_route(structure)
 
 
 @pytest.mark.parametrize("kind", list(_STRUCTURE_STREAMS))
 def test_oracle_equivalence_sample(kind):
     rng = np.random.default_rng(555)
+    structure, route = _structure_case(kind)
     for trial in range(20):
         d = int(rng.integers(5, 51))
-        base, route = _structure_case(kind, d)
         p = rank1_perturbation(d, 2.0, SeededRng(83, trial))
-        s_fast = solve(base, p, route)
-        s_dense = solve(base, p, "dense-qr")
+        [s_fast] = solve(structure, d, [p], route)
+        [s_dense] = solve(structure, d, [p], "dense-qr")
         scale = 1.0 + np.max(np.abs(s_dense.eigenvalues))
         assert spectrum_match_distance(s_fast, s_dense) <= 1e-8 * scale
 
@@ -308,9 +361,10 @@ def test_oracle_equivalence_sample(kind):
 @pytest.mark.parametrize("kind", list(_STRUCTURE_STREAMS))
 def test_trace_conservation(kind):
     d = 24
-    base, route = _structure_case(kind, d)
+    structure, route = _structure_case(kind)
+    base = structure.base_matrix(d)
     p = rank1_perturbation(d, 2.0, SeededRng(87, _STRUCTURE_STREAMS[kind]))
-    s = solve(base, p, route)
+    [s] = solve(structure, d, [p], route)
     trace = np.trace(base) if base.ndim == 2 else np.sum(base)
     expected = trace + p.eps * np.vdot(p.v, p.u) / (
         p.norm_u * p.norm_v
@@ -334,8 +388,7 @@ def test_zero_and_trivial_shift_never_eigenvalues():
         p = rank1_perturbation(d, 2.0, SeededRng(91, trial))
         s = poly_roots(charpoly_jordan_rank1(p))
         assert np.min(np.abs(s.eigenvalues)) > 1e-12
-        t = toeplitz_from_symbol(PolySymbol([3, 2]), d)
-        s2 = solve(t, p, "dense-qr")
+        [s2] = solve(StructureSpec.parse("toeplitz(3,2)"), d, [p], "dense-qr")
         assert np.min(np.abs(s2.eigenvalues - 3.0)) > 1e-12
 
 
@@ -349,6 +402,7 @@ def test_jordan_poly_beats_dense_qr_at_small_eps():
     with mpmath.workdps(60):
         desc = [mpmath.mpc(c.real, c.imag) for c in full[::-1]]
         ref = np.array([complex(r) for r in mpmath.polyroots(desc, maxsteps=200, extraprec=200)])
-    base = jordan_nilpotent(d)
-    assert spectrum_match_distance(solve(base, p, "jordan-poly"), ref) <= 1e-13
-    assert spectrum_match_distance(solve(base, p, "dense-qr"), ref) >= 1e-10
+    jordan = StructureSpec("jordan")
+    [fast], [dense] = (solve(jordan, d, [p], route) for route in ("jordan-poly", "dense-qr"))
+    assert spectrum_match_distance(fast, ref) <= 1e-13
+    assert spectrum_match_distance(dense, ref) >= 1e-10

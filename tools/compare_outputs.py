@@ -10,7 +10,9 @@ subprocess with that tree on ``PYTHONPATH`` and one BLAS thread, at seed
 Toeplitz cases, one of them the linear ``toeplitz(3,2)`` on the
 ``jordan-poly`` route) at d=100 with 100 trials, ``experiment`` on
 ``diagonal(2,3)`` at d=512 with 200 trials (the largest files a run writes:
-about 5 MB of CSV and 8 MB of SVG) and ``scaling`` on ``jordan``, all with
+about 5 MB of CSV and 8 MB of SVG), ``experiment`` on ``jordan`` at d=1024
+with 10 trials (where ``jordan-poly`` splits each trial's pairwise root
+differences into several blocks) and ``scaling`` on ``jordan``, all with
 ``--threads 1``, the five ``tails`` kinds (which take no ``--threads``), plus
 ``experiment`` on ``jordan`` and ``toeplitz(0,1,0.5,0.25)`` with
 ``--threads 3``, so that a tree that splits work across threads differently
@@ -46,6 +48,8 @@ def runs():
                f"structure = {structure}\nd = 100\neps = 2.0\ntrials = 100\n", 1)
     yield ("experiment-diagonal(2,3)-d512", "experiment",
            "structure = diagonal(2,3)\nd = 512\neps = 2.0\ntrials = 200\n", 1)
+    yield ("experiment-jordan-d1024", "experiment",
+           "structure = jordan\nd = 1024\neps = 2.0\ntrials = 10\n", 1)
     for structure in THREADED_STRUCTURES:
         yield (f"experiment-{structure}-threads3", "experiment",
                f"structure = {structure}\nd = 100\neps = 2.0\ntrials = 100\n", 3)
