@@ -8,7 +8,7 @@ Three routes:
   ``J + E / a1``, found by Aberth-Ehrlich iteration from the Newton
   polygon's starting points (6 to 18 sweeps at every d from 64 to 512),
   certified with disjoint Weierstrass inclusion discs, one iteration per
-  block of trials, in memory linear in d,
+  2^16 roots of a block of trials, in bounded memory,
 * ``resolvent-aberth``: for a diagonal base, deflate repeated diagonal
   values exactly and take the moved roots as the eigenvalues of one
   m x m matrix over the m distinct values (about 0.1 ms per trial for
@@ -217,31 +217,30 @@ def _certify(full, roots):
 
 
 def poly_roots(tails, max_sweeps=500):
-    """All roots of each monic polynomial with the ascending tail
-    ``(c_0, ..., c_{d-1})``, each certified by an inclusion disc.
+    """All roots of each monic polynomial in the stack ``tails`` (m, d) of
+    ascending tails ``(c_0, ..., c_{d-1})``, each certified by an inclusion
+    disc: one :class:`Spectrum` or :class:`ConvergenceError` per row.
 
-    ``tails`` is one tail, which gives its :class:`Spectrum` or raises its
-    :class:`ConvergenceError`, or a stack (m, d), which gives a list of one
-    of them per row.  Rows with k vanishing trailing coefficients have k
-    exact zero roots, split off first, and form one group; degrees 1 and 2
-    of the rest use closed forms, higher degrees one Aberth-Ehrlich
-    iteration over the group from the Newton polygon's starting points.
-    Pairwise root differences are taken in blocks of at most
-    ``_BLOCK_ENTRIES`` entries, so no temporary is d x d, and each row's
-    roots and residual are bitwise those of the row solved alone.  The residual
-    is the largest Weierstrass inclusion radius: each disc holds exactly
-    one root.  The error reports unconverged roots or overlapping discs.
+    One Aberth-Ehrlich iteration from the Newton polygon's starting points
+    solves at most ``_BLOCK_ENTRIES`` roots (or one row) at a time, and
+    pairwise root differences are taken in blocks of at most as many
+    entries, so memory stays bounded at any m and no temporary is d x d.
+    Each row's roots and residual are bitwise those of the row solved
+    alone.  Rows with k vanishing trailing coefficients have k exact zero
+    roots, split off first; degrees 1 and 2 of the rest use closed forms.
+    The residual is the largest Weierstrass inclusion radius: each disc
+    holds exactly one root.  The error reports unconverged roots or
+    overlapping discs.
     """
     stack = np.asarray(tails, dtype=np.complex128)
-    if stack.ndim == 1:
-        [result] = poly_roots(stack[None], max_sweeps)
-        if isinstance(result, ConvergenceError):
-            raise result
-        return result
     if stack.ndim != 2:
-        raise ShapeError(f"polynomial tails must be 1-D or 2-D, got shape {stack.shape}")
+        raise ShapeError(f"polynomial tails must be a 2-D stack, got shape {stack.shape}")
     as_complex_vector(stack.reshape(-1), name="polynomial coefficients")
     m, d = stack.shape
+    rows_per_solve = max(1, _BLOCK_ENTRIES // d)
+    if m > rows_per_solve:
+        return [s for start in range(0, m, rows_per_solve)
+                for s in poly_roots(stack[start : start + rows_per_solve], max_sweeps)]
     full = np.concatenate([stack, np.ones((m, 1))], axis=1)
     zero_counts = np.argmax(full != 0, axis=1)
     results = [Spectrum(np.zeros(d), 0.0) if k == d else None for k in zero_counts]

@@ -40,7 +40,8 @@ def test_charpoly_corner_surrogate_matches_closed_form():
     u[-1] = 5.0
     v[0] = 3.0
     p = RankOnePerturbation(u, v, eps)
-    roots = poly_roots(charpoly_jordan_rank1(p)).eigenvalues
+    [s] = poly_roots([charpoly_jordan_rank1(p)])
+    roots = s.eigenvalues
     assert spectrum_match_distance(roots, corner_eigenvalues(d, eps)) <= 1e-10
 
 
@@ -54,13 +55,13 @@ def test_readme_library_example_runs(capsys):
 def test_charpoly_roots_match_dense_oracle():
     d = 20
     p = rank1_perturbation(d, 2.0, SeededRng(71, 0))
-    fast = poly_roots(charpoly_jordan_rank1(p))
+    [fast] = poly_roots([charpoly_jordan_rank1(p)])
     dense = dense_eigenvalues(apply_perturbation(jordan_nilpotent(d), p))
     assert spectrum_match_distance(fast, dense) <= 1e-8
 
 
 def test_poly_roots_quadratic():
-    s = poly_roots([1.0, 0.0])  # z^2 + 1
+    [s] = poly_roots([[1.0, 0.0]])  # z^2 + 1
     assert spectrum_match_distance(s.eigenvalues, np.array([1j, -1j])) <= 1e-14
 
 
@@ -68,7 +69,7 @@ def test_poly_roots_roots_of_unity():
     d = 12
     coeffs = np.zeros(d, dtype=complex)
     coeffs[0] = -1.0
-    s = poly_roots(coeffs)
+    [s] = poly_roots([coeffs])
     expected = np.exp(2j * np.pi * np.arange(d) / d)
     assert spectrum_match_distance(s.eigenvalues, expected) <= 1e-12
     assert s.residual <= 1e-12
@@ -77,7 +78,7 @@ def test_poly_roots_roots_of_unity():
 def test_poly_roots_large_random_charpoly_vs_dense():
     d = 100
     p = rank1_perturbation(d, 2.0, SeededRng(73, 1))
-    fast = poly_roots(charpoly_jordan_rank1(p))
+    [fast] = poly_roots([charpoly_jordan_rank1(p)])
     dense = dense_eigenvalues(apply_perturbation(jordan_nilpotent(d), p))
     scale = 1.0 + np.max(np.abs(dense.eigenvalues))
     assert spectrum_match_distance(fast, dense) <= 1e-8 * scale
@@ -86,17 +87,17 @@ def test_poly_roots_large_random_charpoly_vs_dense():
 def test_poly_roots_nonconvergence_error_carries_flags():
     rng = SeededRng(75, 0)
     coeffs = rng.complex_normals(9)
-    with pytest.raises(ConvergenceError) as info:
-        poly_roots(coeffs, max_sweeps=1)
-    assert hasattr(info.value, "converged")
-    assert info.value.converged.shape == (9,)
+    [error] = poly_roots([coeffs], max_sweeps=1)
+    assert isinstance(error, ConvergenceError)
+    assert hasattr(error, "converged")
+    assert error.converged.shape == (9,)
 
 
 def test_poly_roots_splits_off_exact_zero_roots():
     # z^3 (z - 1)(z - 2)(z - 3j) (z + 4): three exact zeros, four iterated roots
     expected = np.array([0, 0, 0, 1, 2, 3j, -4], dtype=complex)
     full = np.polynomial.polynomial.polyfromroots(expected)
-    s = poly_roots(full[:-1])
+    [s] = poly_roots([full[:-1]])
     assert np.count_nonzero(s.eigenvalues == 0) == 3
     assert spectrum_match_distance(s.eigenvalues, expected) <= 1e-12
     assert 0 < s.residual <= 1e-10
@@ -119,10 +120,7 @@ def test_poly_roots_stack_matches_rows_solved_alone():
     results = poly_roots(stack, max_sweeps=20)
     assert len(results) == len(stack)
     for tail, got in zip(stack, results):
-        try:
-            want = poly_roots(tail, max_sweeps=20)
-        except ConvergenceError as error:
-            want = error
+        [want] = poly_roots([tail], max_sweeps=20)
         assert type(got) is type(want)
         if isinstance(want, ConvergenceError):
             assert str(got) == str(want)
@@ -142,11 +140,30 @@ def test_poly_roots_stack_matches_rows_solved_alone():
         assert 0 < results[k].residual <= 1e-10
 
 
+def test_poly_roots_solves_a_bounded_number_of_roots_at_once(monkeypatch):
+    # a stack is solved at most _BLOCK_ENTRIES roots (whole rows) at a
+    # time, so memory is bounded at any stack size, and the split changes
+    # no byte of any row
+    d = 16
+    stack = np.stack([charpoly_jordan_rank1(rank1_perturbation(d, 2.0, SeededRng(97, t)))
+                      for t in range(7)])
+    whole = poly_roots(stack)
+    rows, aberth = [], spectra._aberth
+    monkeypatch.setattr(spectra, "_BLOCK_ENTRIES", 2 * d)
+    monkeypatch.setattr(spectra, "_aberth",
+                        lambda full, z, **kwargs: rows.append(len(z)) or aberth(full, z, **kwargs))
+    split = poly_roots(stack)
+    assert rows == [2, 2, 2, 1]
+    for want, got in zip(whole, split):
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert got.residual == want.residual
+
+
 def test_poly_roots_roots_spread_over_many_scales():
     # the Newton polygon starts each scale on its own circle
     expected = np.array([1e-4, 2e-4j, 1, -1, 1j, 0.5 + 0.5j, 1e4, -1e4j])
     full = np.polynomial.polynomial.polyfromroots(expected)
-    s = poly_roots(full[:-1])
+    [s] = poly_roots([full[:-1]])
     # each root to a small relative error, and (the discs being disjoint)
     # each found once
     for z in expected:
@@ -160,7 +177,7 @@ def test_newton_polygon_starts_need_few_sweeps():
         starts = spectra._newton_polygon_starts(full)
         _, conv, sweeps = spectra._aberth(full[None], starts[None])
         assert conv.all()
-        assert sweeps.max() <= 30
+        assert sweeps.max() <= 29
 
 
 def test_poly_roots_recovers_from_overflowed_newton_quotient():
@@ -171,15 +188,15 @@ def test_poly_roots_recovers_from_overflowed_newton_quotient():
     # toward the roots like an overflowed evaluation
     d = 256
     p = rank1_perturbation(d, 2.0, SeededRng(9131, 0))
-    s = poly_roots(charpoly_jordan_rank1(p))
+    [s] = poly_roots([charpoly_jordan_rank1(p)])
     dense = dense_eigenvalues(apply_perturbation(jordan_nilpotent(d), p))
     assert spectrum_match_distance(s, dense) <= 1e-8 * (1 + np.max(np.abs(dense.eigenvalues)))
 
 
 def test_poly_roots_rejects_double_root():
     full = np.polynomial.polynomial.polyfromroots([1, 1, -2, 3j])
-    with pytest.raises(ConvergenceError):
-        poly_roots(full[:-1])
+    [error] = poly_roots([full[:-1]])
+    assert isinstance(error, ConvergenceError)
 
 
 def test_certificate_rejects_duplicated_root(monkeypatch):
@@ -191,9 +208,10 @@ def test_certificate_rejects_duplicated_root(monkeypatch):
         spectra, "_aberth",
         lambda *args, **kwargs: (claimed[None], np.ones((1, 4), dtype=bool), np.ones(1)),
     )
-    with pytest.raises(ConvergenceError, match="overlap") as info:
-        poly_roots(full[:-1])
-    assert info.value.radii.shape == (4,)
+    [error] = poly_roots([full[:-1]])
+    assert isinstance(error, ConvergenceError)
+    assert "overlap" in str(error)
+    assert error.radii.shape == (4,)
 
 
 LINEAR_SYMBOLS = ("jordan", "toeplitz(3,2)", "toeplitz(1+1j,0.5-2j)")
@@ -375,7 +393,7 @@ def test_trace_conservation(kind):
 def test_determinant_conservation_jordan():
     for d in (5, 12, 30):
         p = rank1_perturbation(d, 2.0, SeededRng(89, d))
-        s = poly_roots(charpoly_jordan_rank1(p))
+        [s] = poly_roots([charpoly_jordan_rank1(p)])
         q_last = np.conj(p.v[0]) * p.u[-1]
         expected = p.scale * abs(q_last)
         prod = np.abs(np.prod(s.eigenvalues))
@@ -386,7 +404,7 @@ def test_zero_and_trivial_shift_never_eigenvalues():
     for trial in range(50):
         d = 20
         p = rank1_perturbation(d, 2.0, SeededRng(91, trial))
-        s = poly_roots(charpoly_jordan_rank1(p))
+        [s] = poly_roots([charpoly_jordan_rank1(p)])
         assert np.min(np.abs(s.eigenvalues)) > 1e-12
         [s2] = solve(StructureSpec.parse("toeplitz(3,2)"), d, [p], "dense-qr")
         assert np.min(np.abs(s2.eigenvalues - 3.0)) > 1e-12
