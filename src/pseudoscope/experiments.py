@@ -99,8 +99,11 @@ def solve(structure, d, perts, route):
     ``jordan-poly`` takes ``(a0, a1)`` from a degree-1 symbol (any other
     structure is a :class:`ShapeError`) and makes one :func:`poly_roots`
     call; the other routes build the base once (only ``dense-qr`` the dense
-    d x d array) and solve each perturbation.  Route functions are looked
-    up in this module at call time, so a patch here reaches every solve.
+    d x d array).  ``resolvent-aberth`` solves the block in one
+    :func:`eigen_resolvent_aberth` call, which reads ``perts`` one at a time
+    as they are drawn, and ``dense-qr`` solves each perturbation alone.
+    Route functions are looked up in this module at call time, so a patch
+    here reaches every solve.
     """
     if route == SOLVER_JORDAN_POLY:
         if auto_route(structure) != SOLVER_JORDAN_POLY:
@@ -113,7 +116,7 @@ def solve(structure, d, perts, route):
                 for nu in poly_roots(tails)]
     base = structure.base_matrix(d)
     if route == SOLVER_RESOLVENT:
-        return [eigen_resolvent_aberth(base, p) for p in perts]
+        return eigen_resolvent_aberth(base, perts)
     if route == SOLVER_DENSE:
         return [dense_eigenvalues(apply_perturbation(base, p)) for p in perts]
     raise ConfigError(f"unknown solver route {route!r}")

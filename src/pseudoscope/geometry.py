@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .linalg import PolySymbol, as_complex_vector
+from .spectra import stacked_eigvals
 
 __all__ = [
     "DiskUnion",
@@ -150,7 +151,8 @@ def symbol_preimages(p: PolySymbol, lams):
     ``(n,)`` for a scalar value.
 
     Degrees 1 and 2 use closed forms; higher degrees take the eigenvalues
-    of the stacked companion matrices in one batched LAPACK call.
+    of the companion matrices by :func:`stacked_eigvals`, which builds and
+    solves them in stacks of bounded size.
     """
     lams = np.asarray(lams, dtype=np.complex128)
     lam = lams.reshape(-1)
@@ -162,12 +164,16 @@ def symbol_preimages(p: PolySymbol, lams):
         disc = np.sqrt(a[1] * a[1] - 4.0 * a[2] * (a[0] - lam) + 0j)
         z = np.stack([(-a[1] + disc) / (2.0 * a[2]), (-a[1] - disc) / (2.0 * a[2])], axis=1)
     else:
-        # companion of the descending coefficients (a_n, ..., a_1, a_0 - lam)
-        comp = np.zeros((lam.size, n, n), dtype=np.complex128)
-        comp[:, 0, :-1] = -a[-2:0:-1] / a[-1]
-        comp[:, 0, -1] = -(a[0] - lam) / a[-1]
-        comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-        z = np.linalg.eigvals(comp)
+        def companions(rows):
+            """Companions of the descending coefficients (a_n, ..., a_1, a_0 - lam)."""
+            chunk = lam[rows]
+            comp = np.zeros((chunk.size, n, n), dtype=np.complex128)
+            comp[:, 0, :-1] = -a[-2:0:-1] / a[-1]
+            comp[:, 0, -1] = -(a[0] - chunk) / a[-1]
+            comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+            return comp
+
+        z = stacked_eigvals(lam.size, n, companions)
     return z[0] if lams.ndim == 0 else z
 
 

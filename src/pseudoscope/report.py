@@ -5,7 +5,8 @@ Numbers are serialized with Python's shortest round-trip representation,
 so parsing an emitted CSV reproduces the in-memory values exactly.
 
 The eigenvalue CSV and scatter SVG writers stream one trial row at a
-time: a row is converted to Python floats, formatted and written in one
+time: a row is converted to Python floats and formatted by one ``%``
+template built once per file for the row's length, then written in one
 piece, so no writer holds an object per value of the whole run.  The
 manifest hashes each file in 1 MiB reads.
 """
@@ -30,15 +31,19 @@ _HASH_READ_BYTES = 1 << 20
 def write_eigenvalue_csv(path, indices, eigenvalues):
     """Columns trial,index,re,im; one row per eigenvalue, trial order.
     Row k of ``eigenvalues`` belongs to trial ``indices[k]``.  Each trial
-    row is formatted and written in one piece; no field ever needs CSV
-    quoting (ints and float reprs hold no comma, quote or line break)."""
+    row is formatted with one template and written in one piece; no field
+    ever needs CSV quoting (ints and float reprs hold no comma, quote or
+    line break)."""
+    d = eigenvalues.shape[1]
+    row = "".join([f"%d,{j},%r,%r\r\n" for j in range(d)])
+    args = [0] * (3 * d)  # trial, re, im of each value in turn
     with open(path, "w", newline="") as fh:
         fh.write("trial,index,re,im\r\n")
         for trial, lams in zip(indices.tolist(), eigenvalues):
-            fh.write("".join([
-                f"{trial},{j},{x!r},{y!r}\r\n"
-                for j, x, y in zip(range(len(lams)), lams.real.tolist(), lams.imag.tolist())
-            ]))
+            args[0::3] = [trial] * d
+            args[1::3] = lams.real.tolist()
+            args[2::3] = lams.imag.tolist()
+            fh.write(row % tuple(args))
 
 
 def report_to_json_dict(report):
@@ -114,8 +119,8 @@ def write_scatter_svg(path, eigenvalues, curves, size=800, margin_frac=0.10):
 
     Axis ranges auto-fit the points and overlays with a 10% margin; the
     vertical axis is flipped so the upper half plane is on top.  Row k of
-    ``eigenvalues`` is trial k's spectrum; each row is scaled as one array
-    and written in one piece.
+    ``eigenvalues`` is trial k's spectrum; each row is scaled as one array,
+    formatted with one template and written in one piece.
     """
     curves = [np.asarray(c) for c in curves]
     parts = [eigenvalues, *curves]  # extremes read in place, with no joined copy
@@ -129,10 +134,10 @@ def write_scatter_svg(path, eigenvalues, curves, size=800, margin_frac=0.10):
     lo_y, hi_y = lo_y - pad, hi_y + pad
 
     def scaled(z):
-        """Pixel (x, y) pairs of the points ``z``."""
+        """Pixel x and y coordinates of the points ``z``, as two lists."""
         xs = (z.real - lo_x) / (hi_x - lo_x) * size
         ys = size - (z.imag - lo_y) / (hi_y - lo_y) * size
-        return zip(xs.tolist(), ys.tolist())
+        return xs.tolist(), ys.tolist()
 
     with open(path, "w") as fh:
         fh.write(
@@ -141,12 +146,15 @@ def write_scatter_svg(path, eigenvalues, curves, size=800, margin_frac=0.10):
             f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">\n'
         )
         for z in curves:
-            coords = " L".join(["%.2f %.2f" % xy for xy in scaled(z)])
+            coords = " L".join(["%.2f %.2f" % xy for xy in zip(*scaled(z))])
             fh.write(
                 f'<path d="M{coords} Z" fill="none" stroke="#c02020" stroke-width="1.2"/>\n'
             )
+        circles = _CIRCLE * eigenvalues.shape[1]
+        args = [0.0] * (2 * eigenvalues.shape[1])  # x, y of each point in turn
         for row in eigenvalues:
-            fh.write("".join([_CIRCLE % xy for xy in scaled(row)]))
+            args[0::2], args[1::2] = scaled(row)
+            fh.write(circles % tuple(args))
         fh.write("</svg>\n")
 
 

@@ -105,15 +105,17 @@ def rank1_perturbation(d, eps, rng):
         raise ShapeError("dimension must be positive")
     if eps <= 0:
         raise ShapeError("eps must be positive")
-    u = rng.complex_normals(d)
-    v = rng.complex_normals(d)
-    # A zero draw has probability zero; resample once, then give up.
-    if np.linalg.norm(u) == 0.0 or np.linalg.norm(v) == 0.0:
-        u = rng.complex_normals(d)
-        v = rng.complex_normals(d)
-        if np.linalg.norm(u) == 0.0 or np.linalg.norm(v) == 0.0:
-            raise ShapeError("drew a zero-norm vector twice in a row")
-    return RankOnePerturbation(u, v, float(eps))
+    # A zero draw has probability zero; resample once, then give up.  The
+    # draws are finite and of one dimension, and eps was checked, so the
+    # only ShapeError the constructor, which takes both norms, can raise is
+    # the zero-norm one.
+    for _ in range(2):
+        u, v = rng.complex_normals(d), rng.complex_normals(d)
+        try:
+            return RankOnePerturbation(u, v, float(eps))
+        except ShapeError:
+            pass
+    raise ShapeError("drew a zero-norm vector twice in a row")
 
 
 def apply_perturbation(t, p):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from pseudoscope import (
     symbol_image_curve,
     symbol_preimages,
 )
+
+import pseudoscope.spectra as spectra
 
 from closed_forms import corner_eigenvalues, two_block_corner, two_block_eigenvalues
 
@@ -211,6 +214,37 @@ def test_symbol_preimages_batch_matches_scalar_calls():
         for lam, row in zip(lams, batch):
             assert np.array_equal(row, symbol_preimages(p, lam))
             assert np.allclose(p(row), lam, atol=1e-12)
+
+
+def test_symbol_preimages_split_stacks_change_no_byte(monkeypatch):
+    # companion matrices are built and solved in stacks of at most
+    # _BLOCK_ENTRIES entries; a split stack gives the same roots
+    rng = np.random.default_rng(19)
+    lams = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+    for coeffs in ([0, 1, 0.5, 0.25], [1, 0, 0, 1j, 0.3]):
+        p = PolySymbol(coeffs)
+        whole = symbol_preimages(p, lams)
+        monkeypatch.setattr(spectra, "_BLOCK_ENTRIES", 7 * p.degree**2)
+        assert symbol_preimages(p, lams).tobytes() == whole.tobytes()
+        monkeypatch.undo()
+
+
+def test_symbol_preimages_memory_stays_bounded():
+    # 40 000 values of a degree-5 symbol: one stack of their companion
+    # matrices took 16 MB and peaked at 19 MB traced; in bounded stacks the
+    # peak is about 4.5 MB, most of it the 3.2 MB of roots (Python 3.11,
+    # numpy 2.4)
+    rng = np.random.default_rng(23)
+    lams = rng.standard_normal(40_000) + 1j * rng.standard_normal(40_000)
+    p = PolySymbol([0, 1, 0.5, 0.25, 0.1, 0.3])
+    tracemalloc.start()
+    try:
+        z = symbol_preimages(p, lams)
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert z.shape == (40_000, 5)
+    assert peak < 8, peak
 
 
 def test_corner_eigenvalues_examples():

@@ -4,6 +4,7 @@ from scipy import special
 
 from pseudoscope import (
     SeededRng,
+    ShapeError,
     apply_perturbation,
     rank1_perturbation,
 )
@@ -95,6 +96,38 @@ def test_rank1_eigenvalue_variance_clt():
         vals[i] = eps * np.vdot(p.v, p.u) / (p.norm_u * p.norm_v)
     var = np.var(vals)
     assert abs(var - eps**2 / d) <= 0.1 * eps**2 / d
+
+
+class _ZeroFirst:
+    """A stream whose first ``zeros`` draws are all-zero vectors, then those
+    of ``SeededRng(seed)``."""
+
+    def __init__(self, zeros, seed=53):
+        self.zeros, self.rng = zeros, SeededRng(seed)
+
+    def complex_normals(self, n):
+        self.zeros -= 1
+        return np.zeros(n, dtype=complex) if self.zeros >= 0 else self.rng.complex_normals(n)
+
+
+def test_rank1_resamples_a_zero_draw_once():
+    # a zero u discards both draws of the pair; the next pair is used
+    p = rank1_perturbation(8, 2.0, _ZeroFirst(1))
+    rng = SeededRng(53)
+    rng.complex_normals(8)  # the v drawn with the zero u
+    assert np.array_equal(p.u, rng.complex_normals(8))
+    assert np.array_equal(p.v, rng.complex_normals(8))
+    for zeros in (3, 4):  # both pairs hold a zero vector
+        with pytest.raises(ShapeError, match="zero-norm vector twice"):
+            rank1_perturbation(8, 2.0, _ZeroFirst(zeros))
+
+
+def test_rank1_takes_each_norm_once(monkeypatch):
+    norm, calls = np.linalg.norm, []
+    monkeypatch.setattr(np.linalg, "norm", lambda x, *a, **k: calls.append(1) or norm(x, *a, **k))
+    p = rank1_perturbation(16, 2.0, SeededRng(59, 0))
+    assert len(calls) == 2
+    assert (p.norm_u, p.norm_v) == (norm(p.u), norm(p.v))
 
 
 def test_apply_perturbation_point_mass():

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -258,20 +259,74 @@ def test_jordan_poly_closed_form_modulus_at_small_eps():
         assert np.mean(within) >= 0.9
 
 
+def _resolvent_alone(diag, p):
+    """The one-trial deflation the block solve replaced, as the reference."""
+    values, inverse, counts = np.unique(diag, return_inverse=True, return_counts=True)
+    m = values.size
+    weights = np.zeros(m, dtype=np.complex128)
+    np.add.at(weights, inverse, np.conj(p.v) * p.u)
+    moved = np.linalg.eigvals(np.diag(values) + p.scale * np.outer(weights, np.ones(m)))
+    return np.concatenate([moved, np.repeat(values, counts - 1)])
+
+
+_FORTY_VALUES = "diagonal(" + ",".join(f"{k % 8}+{k // 8}j" for k in range(40)) + ")"
+
+
+@pytest.mark.parametrize("structure, d", [("zero", 12), ("scalar(1+2j)", 12),
+                                          ("diagonal(2,3)", 64), (_FORTY_VALUES, 100)],
+                         ids=["zero", "scalar", "diagonal(2,3)", "forty-values"])
+def test_resolvent_block_matches_trials_solved_alone(monkeypatch, structure, d):
+    # the block takes the distinct values once and solves its m x m
+    # matrices as stacks of at most _BLOCK_ENTRIES entries, here two
+    # matrices, yet each trial's spectrum is bitwise the one-trial solve's
+    diag = StructureSpec.parse(structure).diagonal_entries(d)
+    m = np.unique(diag).size
+    perts = [rank1_perturbation(d, 2.0, SeededRng(99, t)) for t in range(7)]
+    stacks, eigvals = [], np.linalg.eigvals
+    monkeypatch.setattr(spectra, "_BLOCK_ENTRIES", 3 * m * m - 1)
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: stacks.append(len(a)) or eigvals(a))
+    block = eigen_resolvent_aberth(diag, perts)
+    assert stacks == [2, 2, 2, 1]
+    assert len(block) == len(perts)
+    for p, s in zip(perts, block):
+        assert s.eigenvalues.tobytes() == _resolvent_alone(diag, p).tobytes()
+        assert s.residual == 0.0
+    # perturbations may also come one at a time, as a run draws them
+    streamed = eigen_resolvent_aberth(diag, iter(perts))
+    assert [s.eigenvalues.tobytes() for s in streamed] == [s.eigenvalues.tobytes() for s in block]
+
+
+def test_resolvent_block_memory_stays_bounded():
+    # 200 trials of a 300-value diagonal: one stack of their 300 x 300
+    # matrices would take 288 MB; a stack holds at most one of them, and
+    # the solve peaks at about 6.4 MB traced (Python 3.11, numpy 2.4)
+    d, trials = 300, 200
+    diag = np.arange(d) * (1 + 0.5j)
+    perts = [rank1_perturbation(d, 2.0, SeededRng(101, t)) for t in range(trials)]
+    tracemalloc.start()
+    try:
+        block = eigen_resolvent_aberth(diag, perts)
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert len(block) == trials
+    assert peak < 16, peak
+
+
 def test_resolvent_vanishing_perturbation_keeps_diagonal():
     p = rank1_perturbation(2, 1e-14, SeededRng(77, 0))
-    s = eigen_resolvent_aberth(np.array([2.0, 3.0], dtype=complex), p)
+    [s] = eigen_resolvent_aberth(np.array([2.0, 3.0], dtype=complex), [p])
     assert spectrum_match_distance(s.eigenvalues, np.array([2.0, 3.0])) <= 1e-10
 
 
 def test_resolvent_two_cluster_diagonal_vs_dense():
     d = 40
-    p = rank1_perturbation(d, 2.0, SeededRng(79, 0))
     diag = np.array([2.0] * (d // 2) + [3.0] * (d // 2), dtype=complex)
-    fast = eigen_resolvent_aberth(diag, p)
-    dense = dense_eigenvalues(np.diag(diag) + p.materialize())
-    scale = 1.0 + np.max(np.abs(dense.eigenvalues))
-    assert spectrum_match_distance(fast, dense) <= 1e-8 * scale
+    perts = [rank1_perturbation(d, 2.0, SeededRng(79, t)) for t in (0, 3, 4)]
+    for p, fast in zip(perts, eigen_resolvent_aberth(diag, perts)):
+        dense = dense_eigenvalues(np.diag(diag) + p.materialize())
+        scale = 1.0 + np.max(np.abs(dense.eigenvalues))
+        assert spectrum_match_distance(fast, dense) <= 1e-8 * scale
 
 
 def test_resolvent_rejects_triangular_base():
@@ -279,13 +334,13 @@ def test_resolvent_rejects_triangular_base():
     p = rank1_perturbation(d, 2.0, SeededRng(79, 1))
     for structure in ("toeplitz(3,2,1)", "jordan"):
         with pytest.raises(ShapeError):
-            eigen_resolvent_aberth(StructureSpec.parse(structure).base_matrix(d), p)
+            eigen_resolvent_aberth(StructureSpec.parse(structure).base_matrix(d), [p])
         with pytest.raises(ShapeError):
             solve(StructureSpec.parse(structure), d, [p], "resolvent-aberth")
     # the route takes the 1-D diagonal only, never its dense matrix
     values = StructureSpec.parse("diagonal(2,3)").diagonal_entries(d)
     with pytest.raises(ShapeError):
-        eigen_resolvent_aberth(np.diag(values), p)
+        eigen_resolvent_aberth(np.diag(values), [p])
 
 
 def test_jordan_poly_rejects_base_it_does_not_model():
@@ -305,8 +360,12 @@ def test_jordan_poly_rejects_base_it_does_not_model():
 
 def test_resolvent_rejects_dim_mismatch():
     p = rank1_perturbation(4, 1.0, SeededRng(79, 2))
+    q = rank1_perturbation(5, 1.0, SeededRng(79, 3))
     with pytest.raises(ShapeError):
-        eigen_resolvent_aberth(np.zeros(5, dtype=complex), p)
+        eigen_resolvent_aberth(np.zeros(5, dtype=complex), [p])
+    # one perturbation of another dimension fails the whole block
+    with pytest.raises(ShapeError):
+        eigen_resolvent_aberth(np.zeros(5, dtype=complex), [q, p, q])
 
 
 def test_dense_corner_fourth_roots():

@@ -10,13 +10,15 @@ subprocess with that tree on ``PYTHONPATH`` and one BLAS thread, at seed
 Toeplitz cases, one of them the linear ``toeplitz(3,2)`` on the
 ``jordan-poly`` route) at d=100 with 100 trials, ``experiment`` on
 ``diagonal(2,3)`` at d=512 with 200 trials (the largest files a run writes:
-about 5 MB of CSV and 8 MB of SVG), ``experiment`` on ``jordan`` at d=1024
-with 10 trials (where ``jordan-poly`` splits each trial's pairwise root
-differences into several blocks) and ``scaling`` on ``jordan``, all with
-``--threads 1``, the five ``tails`` kinds (which take no ``--threads``), plus
-``experiment`` on ``jordan`` and ``toeplitz(0,1,0.5,0.25)`` with
-``--threads 3``, so that a tree that splits work across threads differently
-is held to the same bytes.
+about 5 MB of CSV and 8 MB of SVG), ``experiment`` on a diagonal of 40
+distinct values at d=100 with 100 trials (whose 40 x 40 deflated matrices
+``resolvent-aberth`` solves in several stacks), ``experiment`` on ``jordan``
+at d=1024 with 10 trials (where ``jordan-poly`` splits each trial's pairwise
+root differences into several blocks) and ``scaling`` on ``jordan``, all
+with ``--threads 1``, the five ``tails`` kinds (which take no
+``--threads``), plus ``experiment`` on ``jordan``, ``diagonal(2,3)`` and
+``toeplitz(0,1,0.5,0.25)`` with ``--threads 3``, so that a tree that splits
+work across threads differently is held to the same bytes.
 The script prints each output file whose sha256 differs, or that only one
 tree wrote, and exits 1 if there is any; a run that fails in either tree
 counts as a difference.
@@ -35,7 +37,9 @@ EXPERIMENT_STRUCTURES = (
     "zero", "scalar(1+2j)", "diagonal(2,3)", "diagonal(1,2,3j)", "jordan",
     "jordan-corner(0.5)", "toeplitz(3,2)", "toeplitz(3,2,1)", "toeplitz(0,1,0.5,0.25)",
 )
-THREADED_STRUCTURES = ("jordan", "toeplitz(0,1,0.5,0.25)")
+THREADED_STRUCTURES = ("jordan", "diagonal(2,3)", "toeplitz(0,1,0.5,0.25)")
+# 40 distinct values on a complex grid
+FORTY_VALUES = "diagonal(" + ",".join(f"{k % 8}+{k // 8}j" for k in range(40)) + ")"
 TAIL_KINDS = ("norm", "hw", "cw", "qf-diag", "corner")
 SINGLE_THREAD = {name: "1" for name in
                  ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -48,6 +52,8 @@ def runs():
                f"structure = {structure}\nd = 100\neps = 2.0\ntrials = 100\n", 1)
     yield ("experiment-diagonal(2,3)-d512", "experiment",
            "structure = diagonal(2,3)\nd = 512\neps = 2.0\ntrials = 200\n", 1)
+    yield ("experiment-diagonal-40-values", "experiment",
+           f"structure = {FORTY_VALUES}\nd = 100\neps = 2.0\ntrials = 100\n", 1)
     yield ("experiment-jordan-d1024", "experiment",
            "structure = jordan\nd = 1024\neps = 2.0\ntrials = 10\n", 1)
     for structure in THREADED_STRUCTURES:
