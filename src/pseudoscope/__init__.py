@@ -33,7 +33,6 @@ from .spectra import (
 )
 from .geometry import (
     DiskUnion,
-    ExclusionSet,
     SymbolBand,
     critical_values,
     separation_radius,

@@ -42,7 +42,15 @@ EXIT_SOLVER = 3
 
 THREADS_ENV = "PSEUDOSCOPE_THREADS"
 
-TAIL_KINDS = ("norm", "hw", "cw", "qf-diag", "corner")
+# Each tails kind and the keys it reads besides which, d, seed and trials.
+TAIL_KEYS = {
+    "norm": ("t_grid",),
+    "hw": ("k", "t_grid"),
+    "cw": ("k", "t_grid"),
+    "qf-diag": ("entries", "t_grid"),
+    "corner": ("delta",),
+}
+TAIL_KINDS = tuple(TAIL_KEYS)
 
 # oracle-check covers every structure whose auto route is not dense QR:
 # one or two of each kind, and two linear symbols besides jordan.
@@ -238,6 +246,9 @@ def cmd_tails(args):
     if which not in TAIL_KINDS:
         raise ConfigError(f"which must be one of {TAIL_KINDS}, got {which!r}",
                           line=lines.get("which"))
+    for key in ("k", "entries", "delta", "t_grid"):
+        if key in values and key not in TAIL_KEYS[which]:
+            raise ConfigError(f"tails {which} takes no {key} key", line=lines[key])
     d = _take(values, lines, "d", int, default=100)
     seed = _take(values, lines, "seed", int, default=0)
     if args.seed is not None:
@@ -248,7 +259,6 @@ def cmd_tails(args):
     k = _take(values, lines, "k", int, default=None)
     entries = _take(values, lines, "entries", _complex_list, default=None)
     delta = _take(values, lines, "delta", float, default=None)
-    big_c = _take(values, lines, "C", float, default=None)
     t_grid = _take(values, lines, "t_grid", _float_list, default=None)
     _check_leftover(values, lines)
     out = _outdir(args)
@@ -292,7 +302,7 @@ def cmd_tails(args):
         )
         columns = ["t", "empirical"]
     else:  # corner
-        dl = delta if delta is not None else (big_c if big_c is not None else 3.0) / d
+        dl = delta if delta is not None else 3.0 / d
         result = corner_annulus_probability(d, dl, trials, seed)
         table = {"rows": [
             {"delta": result["delta"], "empirical": result["empirical"], "exact": result["exact"]}

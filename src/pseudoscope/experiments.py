@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fixtures
 from .errors import ConfigError, ConvergenceError, ExperimentError, ShapeError
-from .geometry import DiskUnion, ExclusionSet, SymbolBand, separation_radius
+from .geometry import DiskUnion, SymbolBand, critical_values, separation_radius
 from .linalg import PolySymbol, jordan_corner, toeplitz_from_symbol
 from .sampling import SeededRng, apply_perturbation, rank1_perturbation
 from .spectra import (
@@ -247,18 +247,25 @@ class ExperimentConfig:
         return auto_route(self.structure)
 
     def resolved_delta(self):
-        if self.region == "auto":
-            delta = fixtures.AUTO_DELTA[self.structure.kind]
-            if self.structure.kind in _DIAGONAL_KINDS:
-                centers = np.unique(self.structure.diagonal_entries(self.d))
-                delta = min(delta, 0.999 * separation_radius(centers))
-            return delta
-        return float(self.region)
+        """The region half-width.  A diagonal base's disks stay disjoint:
+        ``auto`` is capped below the separation radius, and a larger
+        explicit half-width is a :class:`ShapeError`."""
+        auto = self.region == "auto"
+        delta = fixtures.AUTO_DELTA[self.structure.kind] if auto else float(self.region)
+        if self.structure.kind in _DIAGONAL_KINDS:
+            separation = separation_radius(np.unique(self.structure.diagonal_entries(self.d)))
+            if auto:
+                delta = min(delta, 0.999 * separation)
+            elif delta > separation:
+                raise ShapeError(f"radius {delta} exceeds the separation radius "
+                                 f"{separation}; disks would intersect")
+        return delta
 
 
 def build_region(cfg: ExperimentConfig):
     """The containment region and (for symbols with critical values) the
-    exclusion set; jordan's band is the annulus ``||lam| - 1| < delta``.
+    exclusion disks of radius eps around them, a :class:`DiskUnion`;
+    jordan's band is the annulus ``||lam| - 1| < delta``.
 
     The corner block's eigenvalues are the d-th roots of rho, so its
     region is the band of ``r z``, ``r = |rho|^(1/d)``.  Only the region
@@ -275,7 +282,8 @@ def build_region(cfg: ExperimentConfig):
         r = abs(cfg.structure.args[0]) ** (1.0 / cfg.d)
         return SymbolBand(PolySymbol([0, r]), delta), None
     p = cfg.structure.symbol()
-    exclusion = ExclusionSet.from_symbol(p, cfg.eps) if p.nontrivial_count >= 2 else None
+    # with two nonzero terms above the constant, p' has a root: the disks have a center
+    exclusion = DiskUnion(critical_values(p), cfg.eps) if p.nontrivial_count >= 2 else None
     return SymbolBand(p, delta), exclusion
 
 
@@ -350,7 +358,7 @@ def run_experiment(cfg: ExperimentConfig, threads=1) -> ConcentrationReport:
     eigenvalues = np.stack([spectra[i].eigenvalues for i in indices])
     flat = eigenvalues.reshape(-1)
     devs, outward, in_region = region.classify(flat)
-    in_exclusion = exclusion.mask(flat) if exclusion is not None else np.zeros_like(in_region)
+    in_exclusion = np.zeros_like(in_region) if exclusion is None else exclusion.classify(flat)[2]
     inside = in_region | in_exclusion
     contained = inside.reshape(eigenvalues.shape).all(axis=1)
     deviations = devs.reshape(eigenvalues.shape)

@@ -7,8 +7,8 @@ seed 20250809, rounded up to two decimals.  Regenerate with::
     python tools/pilot.py
 
 and update this file if the pilot setup changes.  The diagonal value is
-additionally capped by the disk-disjointness constraint at construction
-time.  ``zero`` is the ``scalar(0)`` base, so the pilot's scalar case
+additionally capped below the separation radius of the diagonal values,
+so that the disks stay disjoint.  ``zero`` is the ``scalar(0)`` base, so the pilot's scalar case
 calibrates both.  The ``jordan-corner`` value is copied from ``jordan``;
 no pilot case measures it.
 """

@@ -3,12 +3,14 @@
 There is one region kind for each framework: a :class:`DiskUnion` around
 the eigenvalues of a normal (diagonal) base, and a :class:`SymbolBand`
 around the image of the unit circle under a Jordan or Toeplitz base's
-symbol, with an :class:`ExclusionSet` around the symbol's critical values.
+symbol.  A second :class:`DiskUnion` excludes the symbol's critical
+values, where the preimage equation degenerates to multiple roots.
 Each region implements ``classify(lams) -> (deviation, outward, inside)``:
 the two-sided distance to its reference set, the outward excess beyond it
 (clipped at zero) and strict membership, all from one pass over the
-values.  All membership tests use strict inequalities, so boundary points
-do not count as members.
+values; and ``outline()``, the sampled closed curves that draw it.  All
+membership tests use strict inequalities, so boundary points do not count
+as members.
 """
 
 from __future__ import annotations
@@ -25,12 +27,13 @@ from .spectra import stacked_eigvals
 __all__ = [
     "DiskUnion",
     "SymbolBand",
-    "ExclusionSet",
     "separation_radius",
     "critical_values",
     "symbol_preimages",
     "symbol_image_curve",
 ]
+
+_OUTLINE_SAMPLES = 512
 
 
 def separation_radius(centers):
@@ -47,22 +50,10 @@ def separation_radius(centers):
     return float(np.min(d)) / 2.0
 
 
-def _nearest_distance(lams, points):
-    """Distance from each value to the nearest point (+inf with none), one
-    point at a time so that no values-by-points array is built."""
-    dist = np.full(lams.shape, np.inf)
-    for c in points:
-        np.minimum(dist, np.abs(lams - c), out=dist)
-    return dist
-
-
 @dataclass(frozen=True)
 class DiskUnion:
-    """Union of open disks of a common radius around the given centers.
-
-    Construction enforces disjointness: the radius may not exceed half the
-    minimum center separation.
-    """
+    """Union of open disks of a common radius around the given centers;
+    the disks may overlap."""
 
     centers: np.ndarray
     radius: float
@@ -73,18 +64,21 @@ class DiskUnion:
         object.__setattr__(self, "radius", float(self.radius))
         if self.radius <= 0:
             raise ShapeError("disk radius must be positive")
-        if self.radius > separation_radius(c):
-            raise ShapeError(
-                f"radius {self.radius} exceeds the separation radius "
-                f"{separation_radius(c)}; disks would intersect"
-            )
 
     def classify(self, lams):
         """The deviation is the distance to the nearest center, which is
-        already one-sided, so it doubles as the outward excess."""
+        already one-sided, so it doubles as the outward excess.  Centers are
+        taken one at a time, so no values-by-centers array is built."""
         lams = np.atleast_1d(np.asarray(lams, dtype=np.complex128))
-        dist = _nearest_distance(lams, self.centers)
+        dist = np.full(lams.shape, np.inf)
+        for c in self.centers:
+            np.minimum(dist, np.abs(lams - c), out=dist)
         return dist, dist, dist < self.radius
+
+    def outline(self):
+        """The boundary circle of each disk."""
+        theta = 2.0 * np.pi * np.arange(_OUTLINE_SAMPLES) / _OUTLINE_SAMPLES
+        return [complex(c) + self.radius * np.exp(1j * theta) for c in self.centers]
 
 
 @dataclass(frozen=True)
@@ -113,29 +107,9 @@ class SymbolBand:
         dev = np.abs(mod - 1.0)
         return dev, np.maximum(mod - 1.0, 0.0), dev < self.delta
 
-
-@dataclass(frozen=True)
-class ExclusionSet:
-    """Union of open disks of radius ``tau`` around the symbol's critical
-    values, where the preimage equation degenerates to multiple roots."""
-
-    critical_points: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        c = np.asarray(self.critical_points, dtype=np.complex128).reshape(-1)
-        object.__setattr__(self, "critical_points", c)
-        object.__setattr__(self, "radius", float(self.radius))
-        if self.radius <= 0:
-            raise ShapeError("exclusion radius must be positive")
-
-    @classmethod
-    def from_symbol(cls, p, tau):
-        return cls(critical_values(p), tau)
-
-    def mask(self, lams):
-        lams = np.atleast_1d(np.asarray(lams, dtype=np.complex128))
-        return _nearest_distance(lams, self.critical_points) < self.radius
+    def outline(self):
+        """The symbol curve ``p(e^{i theta})`` that the band surrounds."""
+        return [symbol_image_curve(self.symbol, _OUTLINE_SAMPLES)]
 
 
 def critical_values(p: PolySymbol):

@@ -20,11 +20,8 @@ import os
 
 import numpy as np
 
-from .geometry import DiskUnion, symbol_image_curve
-
 REPORT_SCHEMA_VERSION = 2
 
-_CURVE_SAMPLES = 512
 _HASH_READ_BYTES = 1 << 20
 
 
@@ -94,21 +91,9 @@ def write_manifest(out_dir, filenames, extra=None):
     return path
 
 
-def _circle(center, radius, samples=_CURVE_SAMPLES):
-    theta = 2.0 * np.pi * np.arange(samples) / samples
-    return center + radius * np.exp(1j * theta)
-
-
 def region_overlay_curves(region, exclusion=None):
-    """Closed polylines outlining the region, the boundary circles of a
-    disk union or a band's symbol curve, and the exclusion disks, if any."""
-    if isinstance(region, DiskUnion):
-        curves = [_circle(complex(c), region.radius) for c in region.centers]
-    else:
-        curves = [symbol_image_curve(region.symbol, _CURVE_SAMPLES)]
-    if exclusion is not None:
-        curves += [_circle(complex(c), exclusion.radius) for c in exclusion.critical_points]
-    return curves
+    """Closed polylines outlining the region and the exclusion disks, if any."""
+    return region.outline() + (exclusion.outline() if exclusion is not None else [])
 
 
 _CIRCLE = '<circle cx="%.2f" cy="%.2f" r="1.4" fill="#1f4e9c" fill-opacity="0.5"/>\n'

@@ -47,10 +47,6 @@ class SeededRng:
             self._gen = np.random.Generator(np.random.Philox(key=key))
         return self._gen
 
-    def uniforms(self, n):
-        """n uniforms in [0, 1)."""
-        return self.generator().random(n)
-
     def complex_normals(self, n):
         """n i.i.d. complex normals with unit total variance.
 

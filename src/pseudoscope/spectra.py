@@ -200,13 +200,14 @@ def _certify(full, roots):
     scale = _horner(np.abs(coeffs), rows, np.abs(x))
     bound = np.abs(_horner(coeffs, rows, x)) + 2.0 * n * (np.finfo(float).eps / 2.0) * scale
     logs = np.empty(x.size)
-    for _, block, diff in _differences(x, rows, cols, roots, 1.0):
-        logs[block] = np.log(np.abs(diff)).sum(axis=1)
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # coincident roots: infinite radii
+        for _, block, diff in _differences(x, rows, cols, roots, 1.0):
+            logs[block] = np.log(np.abs(diff)).sum(axis=1)
         radii = np.exp(np.log(n * bound) - logs).reshape(m, n)
     results = [float(np.max(r)) for r in radii]
-    # the blocks run in row-major order: a row reports its first overlap
-    for r, block, diff in _differences(x, rows, cols, roots, np.inf):
+    # the blocks run in row-major order: a row reports its first overlap;
+    # a root's own column is nan, which never overlaps, even at infinite radii
+    for r, block, diff in _differences(x, rows, cols, roots, np.nan):
         dist = np.abs(diff)
         overlap = dist <= radii[r, cols[block], None] + radii[r]
         if np.any(overlap) and not isinstance(results[r], ConvergenceError):

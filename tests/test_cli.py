@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import pseudoscope.cli as cli
-import pseudoscope.geometry as geometry
+import pseudoscope.experiments as experiments
+from pseudoscope import ExperimentConfig, ShapeError, StructureSpec
 from pseudoscope.cli import main
 
 
@@ -221,7 +222,7 @@ def test_scaling_rejects_empty_and_single_dims(tmp_path):
         ("hw", "d = 40\nk = 0\ntrials = 10000\n"),
         ("cw", "d = 40\ntrials = 10000\n"),
         ("qf-diag", "d = 30\ntrials = 10000\n"),
-        ("corner", "d = 50\nC = 3\ntrials = 20000\n"),
+        ("corner", "d = 50\ndelta = 0.06\ntrials = 20000\n"),
     ],
 )
 def test_tails_commands(tmp_path, which, extra):
@@ -253,6 +254,18 @@ def test_tails_rejects_nonpositive_trials(tmp_path, capsys, which, trials):
 def test_tails_unknown_which(tmp_path):
     cfg = _write(tmp_path, "[experiment]\nwhich = nope\n")
     assert main(["tails", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_tails_rejects_keys_its_kind_never_reads(tmp_path, capsys):
+    # C was a second spelling of corner's delta, dropped when both were set
+    for which, key in (("corner", "C = 3"), ("norm", "k = 2"), ("norm", "entries = 1,2"),
+                       ("norm", "delta = 0.1"), ("corner", "t_grid = 0.1")):
+        cfg = _write(tmp_path, f"[experiment]\nwhich = {which}\nd = 20\n{key}\ntrials = 10\n")
+        out = tmp_path / "o"
+        assert main(["tails", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "line 4" in err and key.split()[0] in err
+        assert not (out / "tails.csv").exists()
 
 
 def test_commands_reject_flags_they_ignore(tmp_path):
@@ -299,16 +312,34 @@ def test_oracle_check_d_max_cap(capsys):
 
 def test_experiment_builds_region_once(tmp_path, monkeypatch):
     calls = {"n": 0}
-    real = geometry.critical_values
+    real = experiments.critical_values
 
     def counted(p):
         calls["n"] += 1
         return real(p)
 
-    monkeypatch.setattr(geometry, "critical_values", counted)
+    monkeypatch.setattr(experiments, "critical_values", counted)
     text = "[experiment]\nstructure = toeplitz(0,1,0.5,0.25)\nd = 30\neps = 2.0\ntrials = 3\n"
     assert main(["experiment", "--config", _write(tmp_path, text), "--out", str(tmp_path / "o")]) == 0
     assert calls["n"] == 1
+
+
+def test_diagonal_region_above_separation_radius_exit_2(tmp_path, monkeypatch, capsys):
+    # diagonal(2,3)'s disks touch at the separation radius 0.5; a wider
+    # region would make them intersect, which a run rejects before any solve
+    text = "[experiment]\nstructure = diagonal(2,3)\nd = 20\neps = 2.0\ntrials = 5\n"
+    ok = _write(tmp_path, text + "region = 0.5\n", name="ok.cfg")
+    assert main(["experiment", "--config", ok, "--out", str(tmp_path / "a")]) == 0
+    monkeypatch.setattr(experiments, "solve", lambda *args: pytest.fail("a trial was solved"))
+    message = "radius 0.5001 exceeds the separation radius 0.5; disks would intersect"
+    cfg = ExperimentConfig(StructureSpec.parse("diagonal(2,3)"), 20, 2.0, 5, 0, region=0.5001)
+    with pytest.raises(ShapeError, match=message):
+        experiments.run_experiment(cfg)
+    bad = _write(tmp_path, text + "region = 0.5001\n", name="bad.cfg")
+    out = tmp_path / "b"
+    assert main(["experiment", "--config", bad, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_threads_env_fallback(tmp_path, monkeypatch):

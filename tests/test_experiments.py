@@ -16,6 +16,7 @@ from pseudoscope import (
     StructureSpec,
     apply_perturbation,
     corner_annulus_probability,
+    jordan_quadratic_forms,
     rank1_perturbation,
     run_experiment,
     scaling_fit,
@@ -274,7 +275,7 @@ def test_cubic_band_classification_matches_per_value_roots():
 
 
 def test_band_preimages_solved_once_per_run(monkeypatch):
-    calls = {"preimages": 0, "classify": 0, "mask": 0}
+    calls = {"preimages": 0, "classify": 0, "exclusion": 0}
 
     def counted(name, real):
         def wrapper(*args):
@@ -286,13 +287,14 @@ def test_band_preimages_solved_once_per_run(monkeypatch):
                         counted("preimages", geometry.symbol_preimages))
     monkeypatch.setattr(geometry.SymbolBand, "classify",
                         counted("classify", geometry.SymbolBand.classify))
-    monkeypatch.setattr(geometry.ExclusionSet, "mask",
-                        counted("mask", geometry.ExclusionSet.mask))
+    # a band's only disk union is its exclusion
+    monkeypatch.setattr(geometry.DiskUnion, "classify",
+                        counted("exclusion", geometry.DiskUnion.classify))
     cfg = _cfg(CUBIC, 40, 7)
     one = run_experiment(cfg, threads=1)
-    assert calls == {"preimages": 1, "classify": 1, "mask": 1}
+    assert calls == {"preimages": 1, "classify": 1, "exclusion": 1}
     two = run_experiment(cfg, threads=2)
-    assert calls == {"preimages": 2, "classify": 2, "mask": 2}
+    assert calls == {"preimages": 2, "classify": 2, "exclusion": 2}
     for name in ("indices", "eigenvalues", "deviations", "max_outward"):
         assert np.array_equal(getattr(one, name), getattr(two, name))
     assert one.pooled_eigenvalue_quantiles == two.pooled_eigenvalue_quantiles
@@ -449,6 +451,23 @@ def test_cw_smallball_monotone_saturates():
     vals = [r["smallball"] for r in table["rows"]]
     assert vals == sorted(vals)
     assert vals[-1] >= 0.5
+
+
+def test_jordan_max_deviation_is_depth_of_innermost_zero():
+    # The eigenvalues of J + s u v^dag solve lam^d = s g(lam), with
+    # g(lam) = sum_k q_k lam^(d-1-k) and q_k = v^dag J^k u.  Each trial's
+    # maximum deviation is an inward eigenvalue next to the innermost zero
+    # of g, where lam^d is negligible: its depth 1 - min|zeta|, whatever d
+    # (README, "Deviation statistics").
+    for d in (128, 256):
+        report = run_experiment(_cfg("jordan", d, 12, seed=2025))
+        assert report.failed_trials == 0
+        depths = []
+        for i in report.indices:
+            pert = rank1_perturbation(d, 2.0, SeededRng(2025, i))
+            q = jordan_quadratic_forms(pert.u, pert.v)
+            depths.append(1.0 - np.min(np.abs(np.roots(q))))
+        assert np.max(np.abs(report.deviations.max(axis=1) - depths)) <= 1e-10
 
 
 def test_cw_measured_slope_is_quadratic_not_half():

@@ -6,7 +6,6 @@ import pytest
 
 from pseudoscope import (
     DiskUnion,
-    ExclusionSet,
     PolySymbol,
     ShapeError,
     SymbolBand,
@@ -47,10 +46,14 @@ def test_separation_radius_sentinels():
     assert separation_radius([2.0, 2.0]) == 0.0
 
 
-def test_disk_union_rejects_overlap():
-    DiskUnion([2.0, 3.0], 0.5)  # exactly the separation radius is allowed
+def test_disk_union_may_overlap():
+    # exclusion disks may overlap; a diagonal run checks its own disks'
+    # disjointness when it resolves the half-width
+    disks = DiskUnion([2.0, 3.0], 0.75)
+    assert disks.classify(2.5)[2] and disks.classify(2.74)[2]
+    assert not disks.classify(3.75)[2]
     with pytest.raises(ShapeError):
-        DiskUnion([2.0, 3.0], 0.5001)
+        DiskUnion([2.0, 3.0], 0.0)
 
 
 def test_disk_union_membership_strict():
@@ -71,7 +74,11 @@ def test_nearest_center_matches_broadcast_reference():
     dist, outward, inside = DiskUnion(centers, 0.1).classify(lams)
     assert np.array_equal(dist, ref) and np.array_equal(outward, ref)
     assert np.array_equal(inside, ref < 0.1)
-    assert np.array_equal(ExclusionSet(centers, 0.1).mask(lams), ref < 0.1)
+    # the same holds for exclusion disks around a symbol's critical values
+    crit = critical_values(PolySymbol(rng.standard_normal(10) + 1j * rng.standard_normal(10)))
+    ref = np.min(np.abs(lams[:, None] - crit[None, :]), axis=1)
+    assert crit.size == 8
+    assert np.array_equal(DiskUnion(crit, 0.1).classify(lams)[2], ref < 0.1)
 
 
 def _annulus_reference(lams, r, delta):
@@ -169,11 +176,13 @@ def test_critical_values_repeated_critical_point():
 
 
 def test_exclusion_set_membership():
-    exc = ExclusionSet.from_symbol(PolySymbol([3, 2, 1]), 0.5)
-    assert exc.mask(2.2)[0]
-    assert not exc.mask(2.6)[0]
-    empty = ExclusionSet.from_symbol(PolySymbol([3, 2]), 0.5)
-    assert not empty.mask(3.0)[0]
+    exc = DiskUnion(critical_values(PolySymbol([3, 2, 1])), 0.5)
+    assert exc.classify(2.2)[2][0]
+    assert not exc.classify(2.6)[2][0]
+    # a linear symbol has no critical value, so no exclusion disks
+    assert critical_values(PolySymbol([3, 2])).size == 0
+    with pytest.raises(ShapeError):
+        DiskUnion(critical_values(PolySymbol([3, 2])), 0.5)
 
 
 def test_symbol_preimages_identity():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pseudoscope import report as rp
-from pseudoscope.geometry import DiskUnion, ExclusionSet
+from pseudoscope.geometry import DiskUnion
 
 
 def reference_eigenvalue_csv(path, indices, eigenvalues):
@@ -71,12 +71,12 @@ def _cloud(trials, d, seed=3):
 
 
 CURVES = [
-    rp._circle(0.5 - 0.25j, 2.0),
+    *DiskUnion([0.5 - 0.25j], 2.0).outline(),
     [complex(-1, 1), complex(1, 1), complex(0, -1)],  # a plain list is accepted too
-    *(rp._circle(0j, radius) for radius in (0.5, 1.5, 1.0)),
+    *(circle for radius in (0.5, 1.5, 1.0) for circle in DiskUnion([0j], radius).outline()),
     *rp.region_overlay_curves(
         DiskUnion(np.array([2.5 + 0.5j, -1.5j]), 0.2),
-        ExclusionSet(critical_points=np.array([0.25 + 0.5j, -0.75j]), radius=0.1),
+        DiskUnion(np.array([0.25 + 0.5j, -0.75j]), 0.1),
     ),
 ]
 

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +199,17 @@ def test_poly_roots_rejects_double_root():
     full = np.polynomial.polynomial.polyfromroots([1, 1, -2, 3j])
     [error] = poly_roots([full[:-1]])
     assert isinstance(error, ConvergenceError)
+
+
+def test_double_root_certificate_names_two_distinct_roots():
+    # the closed form gives (z + 2)^2 two identical roots with infinite
+    # inclusion radii: their zero distance raises no warning, and a root's
+    # own column never counts as an overlap
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        [error] = poly_roots([[4.0, 4.0]])
+    assert isinstance(error, ConvergenceError)
+    assert "roots 0 and 1 overlap" in str(error)
 
 
 def test_certificate_rejects_duplicated_root(monkeypatch):
