@@ -7,7 +7,6 @@ import numpy.ma, numpy.polynomial, numpy.random  # noqa: F401
 
 from .errors import (
     ConfigError,
-    ConvergenceError,
     ExperimentError,
     ShapeError,
 )
@@ -24,7 +23,7 @@ from .sampling import (
     rank1_perturbation,
 )
 from .spectra import (
-    Spectrum,
+    Spectra,
     charpoly_jordan_rank1,
     dense_eigenvalues,
     eigen_resolvent_aberth,

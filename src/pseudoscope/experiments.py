@@ -2,10 +2,10 @@
 and empirical tail tables.
 
 Reproducibility: trial ``i`` of a run always draws from the stream
-``(seed, i)``.  Worker threads only sample and solve; the solved spectra
-are stacked in trial order into one ``(n, d)`` array, which is classified
-in one pass, and every statistic is a reduction of that array, so reports
-are identical for any worker count.
+``(seed, i)``.  Worker threads only sample and solve; their blocks of
+solved spectra are joined in trial order into one ``(n, d)`` array, which
+is classified in one pass, and every statistic is a reduction of that
+array, so reports are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fixtures
-from .errors import ConfigError, ConvergenceError, ExperimentError, ShapeError
+from .errors import ConfigError, ExperimentError, ShapeError
 from .geometry import DiskUnion, SymbolBand, critical_values, separation_radius
 from .linalg import PolySymbol, jordan_corner, toeplitz_from_symbol
-from .sampling import SeededRng, apply_perturbation, rank1_perturbation
+from .sampling import SeededRng, rank1_perturbation
 from .spectra import (
-    Spectrum,
+    Spectra,
     charpoly_jordan_rank1,
     dense_eigenvalues,
     eigen_resolvent_aberth,
@@ -93,15 +93,15 @@ def check_route(solver, structure):
 
 def solve(structure, d, perts, route):
     """The base of ``structure`` at dimension ``d`` plus each rank-1
-    perturbation in ``perts``, solved by one route: one :class:`Spectrum` or
-    :class:`ConvergenceError` per perturbation, in order.
+    perturbation in ``perts``, solved by one route as one :class:`Spectra`
+    block, a row per perturbation, in order.
 
     ``jordan-poly`` takes ``(a0, a1)`` from a degree-1 symbol (any other
     structure is a :class:`ShapeError`) and makes one :func:`poly_roots`
     call; the other routes build the base once (only ``dense-qr`` the dense
-    d x d array).  ``resolvent-aberth`` solves the block in one
-    :func:`eigen_resolvent_aberth` call, which reads ``perts`` one at a time
-    as they are drawn, and ``dense-qr`` solves each perturbation alone.
+    d x d array) and solve the block in one call, which reads ``perts`` one
+    at a time as they are drawn.  A row with a non-finite eigenvalue fails
+    with the reason ``"non-finite eigenvalue"`` unless it failed already.
     Route functions are looked up in this module at call time, so a patch
     here reaches every solve.
     """
@@ -110,16 +110,17 @@ def solve(structure, d, perts, route):
             raise ShapeError(f"jordan-poly needs a degree-1 symbol, not {structure.label()}")
         # a0 I + a1 J + E has the eigenvalues a0 + a1 nu of J + E / a1
         a0, a1 = structure.symbol().coeffs
-        tails = np.stack([charpoly_jordan_rank1(p, p.scale / a1) for p in perts])
-        return [nu if isinstance(nu, ConvergenceError)
-                else Spectrum(a0 + a1 * nu.eigenvalues, abs(a1) * nu.residual)
-                for nu in poly_roots(tails)]
-    base = structure.base_matrix(d)
-    if route == SOLVER_RESOLVENT:
-        return eigen_resolvent_aberth(base, perts)
-    if route == SOLVER_DENSE:
-        return [dense_eigenvalues(apply_perturbation(base, p)) for p in perts]
-    raise ConfigError(f"unknown solver route {route!r}")
+        nu = poly_roots(np.stack([charpoly_jordan_rank1(p, p.scale / a1) for p in perts]))
+        out = Spectra(a0 + a1 * nu.eigenvalues, abs(a1) * nu.residual, nu.reason)
+    elif route == SOLVER_RESOLVENT:
+        out = eigen_resolvent_aberth(structure.base_matrix(d), perts)
+    elif route == SOLVER_DENSE:
+        out = dense_eigenvalues(structure.base_matrix(d), perts)
+    else:
+        raise ConfigError(f"unknown solver route {route!r}")
+    out.reason[~np.isfinite(out.eigenvalues).all(axis=1) & (out.reason == "")] = (
+        "non-finite eigenvalue")
+    return out
 
 
 def _parse_complex(text):
@@ -331,9 +332,9 @@ def run_experiment(cfg: ExperimentConfig, threads=1) -> ConcentrationReport:
     one pass.
 
     Worker threads only sample and solve, each one contiguous block of
-    trials in one :func:`solve` call.  A trial whose solve gives a
-    :class:`ConvergenceError` is a failed trial and has no row in the
-    report's arrays; more than 1% failed trials aborts the run.
+    trials in one :func:`solve` call.  A trial whose row has a nonempty
+    reason is a failed trial and has no row in the report's arrays; more
+    than 1% failed trials aborts the run.
     """
     start = time.perf_counter()
     solver = cfg.resolved_solver()
@@ -344,18 +345,22 @@ def run_experiment(cfg: ExperimentConfig, threads=1) -> ConcentrationReport:
         return solve(cfg.structure, cfg.d, perts, solver)
 
     blocks = np.array_split(np.arange(cfg.trials), max(1, min(threads, cfg.trials)))
-    with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-        parts = map(solve_block, blocks) if len(blocks) == 1 else pool.map(solve_block, blocks)
-        spectra = [s for part in parts for s in part]
+    if len(blocks) == 1:
+        solved = solve_block(blocks[0])
+    else:
+        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+            parts = list(pool.map(solve_block, blocks))
+        solved = Spectra(*map(np.concatenate, zip(*parts)))
+        del parts  # the joined arrays replace them before classification
 
-    indices = np.flatnonzero([not isinstance(s, ConvergenceError) for s in spectra])
+    indices = np.flatnonzero(solved.reason == "")
     failed = cfg.trials - indices.size
     if failed > _FAILURE_CAP * cfg.trials:
         raise ExperimentError(
             f"{failed} of {cfg.trials} trials failed, above the {_FAILURE_CAP:.0%} cap"
         )
-    # every spectrum has d values, and the cap leaves at least one trial
-    eigenvalues = np.stack([spectra[i].eigenvalues for i in indices])
+    # the cap leaves at least one trial; without failures the rows are kept, not copied
+    eigenvalues = solved.eigenvalues if failed == 0 else solved.eigenvalues[indices]
     flat = eigenvalues.reshape(-1)
     devs, outward, in_region = region.classify(flat)
     in_exclusion = np.zeros_like(in_region) if exclusion is None else exclusion.classify(flat)[2]

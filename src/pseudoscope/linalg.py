@@ -20,7 +20,6 @@ from .errors import ShapeError
 __all__ = [
     "PolySymbol",
     "as_complex_vector",
-    "as_complex_matrix",
     "jordan_corner",
     "toeplitz_from_symbol",
     "jordan_quadratic_forms",
@@ -37,18 +36,6 @@ def as_complex_vector(x, dim=None, name="vector"):
     if not np.all(np.isfinite(v.view(np.float64))):
         raise ShapeError(f"{name} contains non-finite entries")
     return v
-
-
-def as_complex_matrix(a, dim=None, name="matrix"):
-    """Validate and convert to a finite square 2-D complex128 array."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise ShapeError(f"{name} must be square and nonempty, got shape {m.shape}")
-    if dim is not None and m.shape[0] != dim:
-        raise ShapeError(f"{name} must have dimension {dim}, got {m.shape[0]}")
-    if not np.all(np.isfinite(m.view(np.float64))):
-        raise ShapeError(f"{name} contains non-finite entries")
-    return m
 
 
 @dataclass(frozen=True)

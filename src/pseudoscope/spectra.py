@@ -19,22 +19,24 @@ Three routes:
   other base and the cross-validation oracle; the only route that builds
   the dense d x d base.
 
+Each route solves a block of trials and returns one :class:`Spectra` of
+arrays; a trial it cannot solve is a row with a nonempty reason.
 ``pseudoscope.experiments.auto_route`` picks a structure's route, and
 ``solve`` dispatches a block of trials to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, ShapeError
-from .linalg import as_complex_matrix, as_complex_vector, jordan_quadratic_forms
-from .sampling import RankOnePerturbation
+from .errors import ShapeError
+from .linalg import as_complex_vector, jordan_quadratic_forms
+from .sampling import RankOnePerturbation, apply_perturbation
 
 __all__ = [
-    "Spectrum",
+    "Spectra",
     "charpoly_jordan_rank1",
     "poly_roots",
     "eigen_resolvent_aberth",
@@ -48,16 +50,21 @@ _ANGLE_OFFSET = 0.37  # radians; breaks root symmetry in circular starts
 _BLOCK_ENTRIES = 2**16
 
 
-@dataclass
-class Spectrum:
-    """Eigenvalue multiset of one perturbed matrix and the route's residual."""
+class Spectra(NamedTuple):
+    """A block of n solved trials: row k of ``eigenvalues`` (n, d) is trial
+    k's eigenvalue multiset, ``residual[k]`` its certified error bound (NaN
+    where the route certifies none) and ``reason[k]`` the empty string, or
+    why the trial failed, in which case its row is not a spectrum."""
 
     eigenvalues: np.ndarray
-    residual: float
+    residual: np.ndarray
+    reason: np.ndarray
 
-    def __post_init__(self):
-        self.eigenvalues = as_complex_vector(self.eigenvalues, name="eigenvalues")
-        self.residual = float(self.residual)
+
+def _uncertified(eigenvalues):
+    """The block of rows ``eigenvalues``, all solved, none certified."""
+    n = len(eigenvalues)
+    return Spectra(eigenvalues, np.full(n, np.nan), np.full(n, "", dtype=object))
 
 
 def charpoly_jordan_rank1(p: RankOnePerturbation, scale=None):
@@ -184,9 +191,9 @@ def _newton_polygon_starts(full):
 
 def _certify(full, roots):
     """Each row's largest Weierstrass inclusion radius of the approximate
-    roots ``roots`` (m, n) of the monic ``full`` (m, n + 1), or a
-    :class:`ConvergenceError` where two discs overlap, since then a root
-    may be duplicated or missed (Braess & Hadeler 1973; Carstensen 1991).
+    roots ``roots`` (m, n) of the monic ``full`` (m, n + 1), and its reason:
+    empty, or the first pair of discs that overlap, since then a root may
+    be duplicated or missed (Braess & Hadeler 1973; Carstensen 1991).
 
     ``r_i = n (|p(z_i)| + e_i) / prod_{j != i} |z_i - z_j|``, where
     ``e_i = 2 n u sum_k |c_k| |z_i|^k`` bounds the rounding of Horner's
@@ -204,26 +211,24 @@ def _certify(full, roots):
         for _, block, diff in _differences(x, rows, cols, roots, 1.0):
             logs[block] = np.log(np.abs(diff)).sum(axis=1)
         radii = np.exp(np.log(n * bound) - logs).reshape(m, n)
-    results = [float(np.max(r)) for r in radii]
+    reason = np.full(m, "", dtype=object)
     # the blocks run in row-major order: a row reports its first overlap;
     # a root's own column is nan, which never overlaps, even at infinite radii
     for r, block, diff in _differences(x, rows, cols, roots, np.nan):
         dist = np.abs(diff)
         overlap = dist <= radii[r, cols[block], None] + radii[r]
-        if np.any(overlap) and not isinstance(results[r], ConvergenceError):
+        if np.any(overlap) and not reason[r]:
             k, j = np.unravel_index(int(np.argmax(overlap)), overlap.shape)
             i = cols[block][k]
-            results[r] = ConvergenceError(
-                f"inclusion discs of roots {i} and {j} overlap (radii {radii[r, i]:.3e}"
-                f" and {radii[r, j]:.3e}, distance {dist[k, j]:.3e})",
-                roots=roots[r], radii=radii[r])
-    return results
+            reason[r] = (f"inclusion discs of roots {i} and {j} overlap (radii {radii[r, i]:.3e}"
+                         f" and {radii[r, j]:.3e}, distance {dist[k, j]:.3e})")
+    return radii.max(axis=1), reason
 
 
 def poly_roots(tails, max_sweeps=500):
     """All roots of each monic polynomial in the stack ``tails`` (m, d) of
     ascending tails ``(c_0, ..., c_{d-1})``, each certified by an inclusion
-    disc: one :class:`Spectrum` or :class:`ConvergenceError` per row.
+    disc, as one :class:`Spectra` of m rows.
 
     One Aberth-Ehrlich iteration from the Newton polygon's starting points
     solves at most ``_BLOCK_ENTRIES`` roots (or one row) at a time, and
@@ -233,24 +238,33 @@ def poly_roots(tails, max_sweeps=500):
     alone.  Rows with k vanishing trailing coefficients have k exact zero
     roots, split off first; degrees 1 and 2 of the rest use closed forms.
     The residual is the largest Weierstrass inclusion radius: each disc
-    holds exactly one root.  The error reports unconverged roots or
-    overlapping discs.
+    holds exactly one root.  A row fails when a root does not converge
+    (its residual is NaN and its roots the last iterate) or when two discs
+    overlap.
     """
     stack = np.asarray(tails, dtype=np.complex128)
     if stack.ndim != 2:
         raise ShapeError(f"polynomial tails must be a 2-D stack, got shape {stack.shape}")
     as_complex_vector(stack.reshape(-1), name="polynomial coefficients")
     m, d = stack.shape
+    out = Spectra(np.zeros((m, d), dtype=np.complex128), np.zeros(m),
+                  np.full(m, "", dtype=object))
     rows_per_solve = max(1, _BLOCK_ENTRIES // d)
-    if m > rows_per_solve:
-        return [s for start in range(0, m, rows_per_solve)
-                for s in poly_roots(stack[start : start + rows_per_solve], max_sweeps)]
+    for start in range(0, m, rows_per_solve):
+        rows = slice(start, start + rows_per_solve)
+        _solve_rows(stack[rows], max_sweeps, Spectra(*(a[rows] for a in out)))
+    return out
+
+
+def _solve_rows(stack, max_sweeps, out):
+    """:func:`poly_roots` of one solve's rows, written into the views
+    ``out``, whose rows of only zero roots are already solved."""
+    m, d = stack.shape
     full = np.concatenate([stack, np.ones((m, 1))], axis=1)
     zero_counts = np.argmax(full != 0, axis=1)
-    results = [Spectrum(np.zeros(d), 0.0) if k == d else None for k in zero_counts]
     for k in np.unique(zero_counts[zero_counts < d]):
         rows = np.flatnonzero(zero_counts == k)
-        group, n, zeros = full[rows, k:], d - k, np.zeros(k, dtype=np.complex128)
+        group, n = full[rows, k:], d - k
         if n <= 2:  # closed forms
             roots = (-group[:, :1] if n == 1
                      else np.stack([_quadratic_roots(c[1], c[0]) for c in group]))
@@ -258,16 +272,12 @@ def poly_roots(tails, max_sweeps=500):
         else:
             starts = np.stack([_newton_polygon_starts(c) for c in group])
             roots, conv, _ = _aberth(group, starts, max_sweeps=max_sweeps)
+        out.eigenvalues[rows, k:] = roots
         done = conv.all(axis=1)
-        for r, z, c in zip(rows[~done], roots[~done], conv[~done]):
-            results[r] = ConvergenceError(
-                f"{int((~c).sum())} of {d} roots did not converge",
-                converged=np.concatenate([np.ones(k, dtype=bool), c]),
-                roots=np.concatenate([zeros, z]))
-        for r, z, radius in zip(rows[done], roots[done], _certify(group[done], roots[done])):
-            results[r] = radius if isinstance(radius, ConvergenceError) else Spectrum(
-                np.concatenate([zeros, z]), radius)
-    return results
+        out.residual[rows[~done]] = np.nan
+        out.reason[rows[~done]] = [f"{int((~c).sum())} of {d} roots did not converge"
+                                   for c in conv[~done]]
+        out.residual[rows[done]], out.reason[rows[done]] = _certify(group[done], roots[done])
 
 
 def stacked_eigvals(count, size, build):
@@ -288,7 +298,8 @@ def eigen_resolvent_aberth(diag, perts):
     """All eigenvalues of ``D + eps u v^dag / (|u| |v|)`` for the diagonal
     ``D`` with entries ``diag`` and each perturbation in ``perts``, by exact
     deflation and one small dense eigenproblem per perturbation: one
-    :class:`Spectrum` per perturbation, in order.
+    :class:`Spectra` row per perturbation, in order, whose residual is NaN
+    (LAPACK certifies none).
 
     A rank-1 update moves exactly one eigenvalue out of each repeated
     eigenspace, so a value of multiplicity n_c keeps n_c - 1 exact copies.
@@ -321,31 +332,31 @@ def eigen_resolvent_aberth(diag, perts):
     base, ones = np.diag(values), np.ones(m)
     moved = stacked_eigvals(len(scales), m, lambda rows: base + scales[rows, None, None]
                             * (weights[rows, :, None] * ones))
-    kept = np.repeat(values, counts - 1)
-    return [Spectrum(np.concatenate([z, kept]), 0.0) for z in moved]
+    eigenvalues = np.empty((len(scales), diag.size), dtype=np.complex128)
+    eigenvalues[:, :m] = moved
+    eigenvalues[:, m:] = np.repeat(values, counts - 1)
+    return _uncertified(eigenvalues)
 
 
-def dense_eigenvalues(a) -> Spectrum:
-    """All eigenvalues via the dense Hessenberg-QR route (LAPACK); the
-    residual is reported as 0."""
-    return Spectrum(np.linalg.eigvals(as_complex_matrix(a)), 0.0)
-
-
-def _as_eigenvalue_array(s):
-    if isinstance(s, Spectrum):
-        return s.eigenvalues
-    return as_complex_vector(s, name="spectrum")
+def dense_eigenvalues(base, perts):
+    """All eigenvalues of ``base`` (d x d, or a 1-D diagonal) plus each
+    perturbation in ``perts`` via the Hessenberg-QR route (LAPACK): one
+    :class:`Spectra` row per perturbation, whose residual is NaN (LAPACK
+    certifies none)."""
+    eigenvalues = [np.linalg.eigvals(apply_perturbation(base, p)) for p in perts]
+    return _uncertified(np.array(eigenvalues, dtype=np.complex128).reshape(-1, np.shape(base)[-1]))
 
 
 def spectrum_match_distance(a, b):
-    """Largest distance between matched eigenvalues of two multisets, under
-    the matching of least total distance (``linear_sum_assignment``)."""
+    """Largest distance between matched eigenvalues of two multisets, the
+    vectors ``a`` and ``b``, under the matching of least total distance
+    (``linear_sum_assignment``)."""
     # imported here: scipy.optimize adds about 0.2 s to every CLI start-up,
     # and only oracle checks match spectra
     from scipy.optimize import linear_sum_assignment
 
-    x = _as_eigenvalue_array(a)
-    y = _as_eigenvalue_array(b)
+    x = as_complex_vector(a, name="spectrum")
+    y = as_complex_vector(b, name="spectrum")
     if x.size != y.size:
         raise ShapeError(f"spectra have different sizes {x.size} and {y.size}")
     cost = np.abs(x[:, None] - y[None, :])

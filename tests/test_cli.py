@@ -268,6 +268,15 @@ def test_tails_rejects_keys_its_kind_never_reads(tmp_path, capsys):
         assert not (out / "tails.csv").exists()
 
 
+def test_tails_qf_diag_rejects_d_beside_entries(tmp_path, capsys):
+    # entries fix the dimension, so a d key beside them would be ignored
+    text = "[experiment]\nwhich = qf-diag\nd = 500\nentries = 1,2,3\ntrials = 100\n"
+    assert main(["tails", "--config", _write(tmp_path, text), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "no d key" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_commands_reject_flags_they_ignore(tmp_path):
     # tails runs no worker threads; oracle-check reads no config, writes no
     # files and draws from fixed streams
@@ -294,13 +303,35 @@ def test_oracle_check_passes_and_corrupt_hook_fails(tmp_path, monkeypatch, capsy
     def corrupted(structure, d, perts, route):
         spectra = real(structure, d, perts, route)
         if route != "dense-qr":
-            for spectrum in spectra:
-                spectrum.eigenvalues = spectrum.eigenvalues.copy()
-                spectrum.eigenvalues[0] += 1e-5
+            spectra.eigenvalues[:, 0] += 1e-5
         return spectra
 
     monkeypatch.setattr(cli, "solve", corrupted)
     assert main(["oracle-check", "--d-max", "20", "--trials", "4"]) == 1
+
+
+def test_oracle_check_reports_failed_fast_solve_and_goes_on(monkeypatch, capsys):
+    # a fast route's failed trial is an oracle failure with its reason; the
+    # other structures are still checked, with the dims they draw unforced
+    assert main(["oracle-check", "--d-max", "20", "--trials", "4"]) == 0
+    clean = capsys.readouterr().out.splitlines()
+    real = cli.solve
+
+    def failing(structure, d, perts, route):
+        spectra = real(structure, d, perts, route)
+        if structure.label() == "jordan" and route != "dense-qr":
+            spectra.reason[:] = "forced failure"
+        return spectra
+
+    monkeypatch.setattr(cli, "solve", failing)
+    assert main(["oracle-check", "--d-max", "20", "--trials", "4"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == len(clean) == 7
+    for before, after in zip(clean, out):
+        if "oracle-check jordan " in before:
+            assert after == "oracle-check jordan (jordan-poly): trial 0 failed: forced failure"
+        else:
+            assert after == before
 
 
 def test_oracle_check_d_max_cap(capsys):

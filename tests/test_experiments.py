@@ -15,6 +15,7 @@ from pseudoscope import (
     SeededRng,
     StructureSpec,
     apply_perturbation,
+    charpoly_jordan_rank1,
     corner_annulus_probability,
     jordan_quadratic_forms,
     rank1_perturbation,
@@ -26,7 +27,7 @@ from pseudoscope import (
     tail_norm_concentration,
     tail_quadratic_form_diag,
 )
-from pseudoscope.errors import ConvergenceError, ExperimentError
+from pseudoscope.errors import ExperimentError
 
 
 def _cfg(structure, d, trials, seed=7, **kw):
@@ -109,16 +110,70 @@ def test_failure_cap_aborts_run(monkeypatch):
     real = exp.poly_roots
 
     # jordan-poly is the one iterative route, so the one that can fail; a
-    # block's failed rows come back as errors, here every third one
+    # block's failed rows come back with a reason, here every third one
     def flaky(tails):
         results = real(tails)
-        for k in range(2, len(results), 3):
-            results[k] = ConvergenceError("forced failure")
+        results.reason[2::3] = "forced failure"
         return results
 
     monkeypatch.setattr(exp, "poly_roots", flaky)
     with pytest.raises(ExperimentError):
         run_experiment(_cfg("jordan", 20, 30))
+
+
+def test_failure_below_cap_drops_only_its_row(monkeypatch):
+    # one failed trial of 200 is under the 1% cap: the run completes without
+    # that trial's row, and every other row is bitwise the unforced run's
+    cfg = _cfg("jordan", 20, 200)
+    clean = run_experiment(cfg, threads=3)
+    bad = 137
+    target = charpoly_jordan_rank1(rank1_perturbation(cfg.d, cfg.eps, SeededRng(cfg.seed, bad)))
+    real = exp.poly_roots
+
+    def flaky(tails):
+        results = real(tails)
+        results.reason[(tails == target).all(axis=1)] = "forced failure"
+        return results
+
+    monkeypatch.setattr(exp, "poly_roots", flaky)
+    report = run_experiment(cfg, threads=3)
+    keep = np.arange(cfg.trials) != bad
+    assert report.failed_trials == 1
+    assert bad not in report.indices
+    assert np.array_equal(report.indices, np.flatnonzero(keep))
+    for name in ("eigenvalues", "deviations", "max_outward"):
+        assert getattr(report, name).tobytes() == getattr(clean, name)[keep].tobytes()
+
+
+def test_non_finite_row_fails_with_its_reason(monkeypatch):
+    real = exp.dense_eigenvalues
+
+    def poisoned(base, perts):
+        results = real(base, perts)
+        results.eigenvalues[1, 4] = np.nan
+        return results
+
+    monkeypatch.setattr(exp, "dense_eigenvalues", poisoned)
+    perts = [rank1_perturbation(10, 2.0, SeededRng(3, t)) for t in range(3)]
+    solved = exp.solve(StructureSpec.parse("toeplitz(3,2,1)"), 10, perts, "dense-qr")
+    assert solved.reason.tolist() == ["", "non-finite eigenvalue", ""]
+
+
+def test_linear_symbol_run_is_the_rescaled_jordan_run():
+    # 3 I + 2 J + E at eps=2 is 3 + 2 (J + E / 2), and E / 2 is the eps=1
+    # perturbation of the same draw, so the toeplitz(3,2) run is the jordan
+    # run's a0 + a1 nu, and the band of 3 + 2 z measures the same deviations
+    def run(structure, eps):
+        cfg = ExperimentConfig(structure=StructureSpec.parse(structure), d=128, eps=eps,
+                               trials=40, seed=19)
+        return run_experiment(cfg)
+
+    toeplitz, jordan = run("toeplitz(3,2)", 2.0), run("jordan", 1.0)
+    assert toeplitz.solver == jordan.solver == "jordan-poly"
+    assert np.array_equal(toeplitz.indices, jordan.indices)
+    assert np.array_equal(toeplitz.eigenvalues, 3 + 2 * jordan.eigenvalues)
+    assert np.max(np.abs(toeplitz.deviations - jordan.deviations)) <= 1e-13
+    assert np.max(np.abs(toeplitz.max_outward - jordan.max_outward)) <= 1e-13
 
 
 def test_jordan_run_memory_stays_bounded():

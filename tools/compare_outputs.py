@@ -18,7 +18,9 @@ root differences into several blocks) and ``scaling`` on ``jordan``, all
 with ``--threads 1``, the five ``tails`` kinds (which take no
 ``--threads``), plus ``experiment`` on ``jordan``, ``diagonal(2,3)`` and
 ``toeplitz(0,1,0.5,0.25)`` with ``--threads 3``, so that a tree that splits
-work across threads differently is held to the same bytes.
+work across threads differently is held to the same bytes, and
+``oracle-check --d-max 60 --trials 20``, which writes no files: its stdout,
+one line per structure, is saved as the run's ``stdout.txt`` and compared.
 The script prints each output file whose sha256 differs, or that only one
 tree wrote, and exits 1 if there is any; a run that fails in either tree
 counts as a difference.
@@ -41,12 +43,14 @@ THREADED_STRUCTURES = ("jordan", "diagonal(2,3)", "toeplitz(0,1,0.5,0.25)")
 # 40 distinct values on a complex grid
 FORTY_VALUES = "diagonal(" + ",".join(f"{k % 8}+{k // 8}j" for k in range(40)) + ")"
 TAIL_KINDS = ("norm", "hw", "cw", "qf-diag", "corner")
+ORACLE_CHECK_ARGS = ["--d-max", "60", "--trials", "20"]
 SINGLE_THREAD = {name: "1" for name in
                  ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
 def runs():
-    """(name, command, config body, threads or None) of every compared run."""
+    """(name, command, config body or None, threads or None) of every
+    compared run; a run without a config is compared by its stdout."""
     for structure in EXPERIMENT_STRUCTURES:
         yield (f"experiment-{structure}", "experiment",
                f"structure = {structure}\nd = 100\neps = 2.0\ntrials = 100\n", 1)
@@ -64,6 +68,7 @@ def runs():
     for which in TAIL_KINDS:
         # 45000 trials draw in three chunks of at most 20000
         yield f"tails-{which}", "tails", f"which = {which}\nd = 40\ntrials = 45000\n", None
+    yield "oracle-check", "oracle-check", None, None
 
 
 def run_tree(src, root):
@@ -73,13 +78,19 @@ def run_tree(src, root):
     root.mkdir()
     failed = []
     for name, command, body, threads in runs():
-        cfg = root / f"{name}.cfg"
-        cfg.write_text(f"[experiment]\n{body}seed = {SEED}\n")
-        argv = [sys.executable, "-m", "pseudoscope.cli", command, "--config", str(cfg),
-                "--out", str(root / name)]
+        argv = [sys.executable, "-m", "pseudoscope.cli", command]
+        if body is None:  # oracle-check reads no config and writes no files
+            argv += ORACLE_CHECK_ARGS
+        else:
+            cfg = root / f"{name}.cfg"
+            cfg.write_text(f"[experiment]\n{body}seed = {SEED}\n")
+            argv += ["--config", str(cfg), "--out", str(root / name)]
         if threads is not None:
             argv += ["--threads", str(threads)]
         proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
+        if body is None:
+            (root / name).mkdir()
+            (root / name / "stdout.txt").write_text(proc.stdout)
         if proc.returncode != 0:
             print(f"{src}: {name} exited {proc.returncode}: {proc.stderr.strip()}")
             failed.append(name)
