@@ -19,7 +19,6 @@ from .linalg import (
 from .sampling import (
     RankOnePerturbation,
     SeededRng,
-    apply_perturbation,
     rank1_perturbation,
 )
 from .spectra import (

@@ -253,6 +253,8 @@ def cmd_tails(args):
         raise ConfigError("tails qf-diag takes no d key with entries: d is their count",
                           line=lines["d"])
     d = _take(values, lines, "d", int, default=100)
+    if d < 1:  # before any kind's default reads it (corner's delta is 3 / d)
+        raise ConfigError("d must be positive", line=lines.get("d"))
     seed = _take(values, lines, "seed", int, default=0)
     if args.seed is not None:
         seed = args.seed
@@ -261,6 +263,8 @@ def cmd_tails(args):
         raise ConfigError("trials must be positive", line=lines.get("trials"))
     k = _take(values, lines, "k", int, default=None)
     entries = _take(values, lines, "entries", _complex_list, default=None)
+    if entries is not None and not any(entries):  # 1 / max|entries| sets the decay scale
+        raise ConfigError("entries must hold a nonzero value", line=lines["entries"])
     delta = _take(values, lines, "delta", float, default=None)
     t_grid = _take(values, lines, "t_grid", _float_list, default=None)
     _check_leftover(values, lines)
@@ -334,7 +338,7 @@ def cmd_oracle_check(args):
         dist_max = 0.0
         for trial, d in enumerate(dims):
             pert = rank1_perturbation(d, 2.0, SeededRng(777, trial))
-            fast, dense = (solve(spec, d, [pert], r) for r in (route, SOLVER_DENSE))
+            fast, dense = (solve(spec, d, pert, r) for r in (route, SOLVER_DENSE))
             reason = fast.reason[0] or dense.reason[0]
             if reason:
                 print(f"oracle-check {spec.label()} ({route}): trial {trial} failed: {reason}")

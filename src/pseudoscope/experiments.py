@@ -22,7 +22,7 @@ from . import fixtures
 from .errors import ConfigError, ExperimentError, ShapeError
 from .geometry import DiskUnion, SymbolBand, critical_values, separation_radius
 from .linalg import PolySymbol, jordan_corner, toeplitz_from_symbol
-from .sampling import SeededRng, rank1_perturbation
+from .sampling import RankOnePerturbation, SeededRng, rank1_perturbation
 from .spectra import (
     Spectra,
     charpoly_jordan_rank1,
@@ -92,25 +92,25 @@ def check_route(solver, structure):
 
 
 def solve(structure, d, perts, route):
-    """The base of ``structure`` at dimension ``d`` plus each rank-1
-    perturbation in ``perts``, solved by one route as one :class:`Spectra`
-    block, a row per perturbation, in order.
+    """The base of ``structure`` at dimension ``d`` plus each row of the
+    block ``perts`` (a :class:`~pseudoscope.sampling.RankOnePerturbation`
+    of arrays), solved by one route as one :class:`Spectra` block, a row per
+    perturbation, in order.
 
     ``jordan-poly`` takes ``(a0, a1)`` from a degree-1 symbol (any other
     structure is a :class:`ShapeError`) and makes one :func:`poly_roots`
     call; the other routes build the base once (only ``dense-qr`` the dense
-    d x d array) and solve the block in one call, which reads ``perts`` one
-    at a time as they are drawn.  A row with a non-finite eigenvalue fails
-    with the reason ``"non-finite eigenvalue"`` unless it failed already.
-    Route functions are looked up in this module at call time, so a patch
-    here reaches every solve.
+    d x d array) and solve the block in one call.  A row with a non-finite
+    eigenvalue fails with the reason ``"non-finite eigenvalue"`` unless it
+    failed already.  Route functions are looked up in this module at call
+    time, so a patch here reaches every solve.
     """
     if route == SOLVER_JORDAN_POLY:
         if auto_route(structure) != SOLVER_JORDAN_POLY:
             raise ShapeError(f"jordan-poly needs a degree-1 symbol, not {structure.label()}")
         # a0 I + a1 J + E has the eigenvalues a0 + a1 nu of J + E / a1
         a0, a1 = structure.symbol().coeffs
-        nu = poly_roots(np.stack([charpoly_jordan_rank1(p, p.scale / a1) for p in perts]))
+        nu = poly_roots(charpoly_jordan_rank1(perts._replace(scale=perts.scale / a1)))
         out = Spectra(a0 + a1 * nu.eigenvalues, abs(a1) * nu.residual, nu.reason)
     elif route == SOLVER_RESOLVENT:
         out = eigen_resolvent_aberth(structure.base_matrix(d), perts)
@@ -232,8 +232,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.d < 1:
             raise ConfigError("d must be positive")
-        if self.eps <= 0:
-            raise ConfigError("eps must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ConfigError(f"eps must be finite and positive, got {self.eps}")
+        if self.region != "auto" and not (math.isfinite(self.region) and self.region > 0):
+            raise ConfigError(f"region must be auto or finite and positive, got {self.region}")
         if self.trials < 1:
             raise ConfigError("trials must be positive")
         symbol = self.structure.symbol()
@@ -332,7 +334,8 @@ def run_experiment(cfg: ExperimentConfig, threads=1) -> ConcentrationReport:
     one pass.
 
     Worker threads only sample and solve, each one contiguous block of
-    trials in one :func:`solve` call.  A trial whose row has a nonempty
+    trials: its draws are stacked into one block of perturbations and
+    solved in one :func:`solve` call.  A trial whose row has a nonempty
     reason is a failed trial and has no row in the report's arrays; more
     than 1% failed trials aborts the run.
     """
@@ -341,8 +344,12 @@ def run_experiment(cfg: ExperimentConfig, threads=1) -> ConcentrationReport:
     region, exclusion = build_region(cfg)
 
     def solve_block(block):
-        perts = (rank1_perturbation(cfg.d, cfg.eps, SeededRng(cfg.seed, i)) for i in block)
-        return solve(cfg.structure, cfg.d, perts, solver)
+        # each draw is copied into the block and dropped, so the draws are never held twice
+        u, v = np.empty((2, block.size, cfg.d), dtype=np.complex128)
+        scale = np.empty(block.size)
+        for k, i in enumerate(block):
+            u[k], v[k], scale[k] = rank1_perturbation(cfg.d, cfg.eps, SeededRng(cfg.seed, i))
+        return solve(cfg.structure, cfg.d, RankOnePerturbation(u, v, scale), solver)
 
     blocks = np.array_split(np.arange(cfg.trials), max(1, min(threads, cfg.trials)))
     if len(blocks) == 1:
@@ -568,6 +575,8 @@ def tail_quadratic_form_diag(entries, t_grid, trials, seed):
     D, with the exponential decay rate fitted against ``t sqrt(d)``."""
     _check_trials(trials)
     gam = np.asarray(entries, dtype=np.complex128).reshape(-1)
+    if not np.any(gam):
+        raise ShapeError("entries must hold a nonzero value")
     d = gam.size
     t_grid = np.asarray(t_grid, dtype=float)
     counts = np.zeros(t_grid.size)

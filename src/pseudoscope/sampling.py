@@ -11,18 +11,18 @@ byte-level output a function of (seed, stream) alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import as_complex_vector
 
 __all__ = [
     "SeededRng",
     "RankOnePerturbation",
     "rank1_perturbation",
-    "apply_perturbation",
 ]
 
 
@@ -59,67 +59,47 @@ class SeededRng:
         return radius * np.exp(2j * np.pi * w[1])
 
 
-@dataclass
-class RankOnePerturbation:
-    """Factored perturbation ``eps * u v^dag / (|u| |v|)``.
-
-    Kept in (u, v, eps) form; the dense matrix is materialized only on
-    request, so a trial costs O(d) storage.
-    """
+class RankOnePerturbation(NamedTuple):
+    """A block of n factored rank-1 perturbations ``scale[k] u[k] v[k]^dag``:
+    ``u`` and ``v`` are (n, d), ``scale`` is (n,), and row k is trial k.  A
+    :func:`rank1_perturbation` draw is one trial, 1-D ``u`` and ``v`` and a
+    float ``scale``; ``map(np.array, zip(*draws))`` stacks draws."""
 
     u: np.ndarray
     v: np.ndarray
-    eps: float
+    scale: np.ndarray
 
-    def __post_init__(self):
-        self.u = as_complex_vector(self.u, name="u")
-        self.v = as_complex_vector(self.v, dim=self.u.size, name="v")
-        if self.eps <= 0:
-            raise ShapeError("eps must be positive")
-        self.norm_u = float(np.linalg.norm(self.u))
-        self.norm_v = float(np.linalg.norm(self.v))
-        if self.norm_u == 0.0 or self.norm_v == 0.0:
+    def checked(self, dim=None):
+        """This block with complex (n, d) ``u`` and ``v`` and an (n,)
+        ``scale``, a one-trial draw being a block of one row; a
+        :class:`ShapeError` unless u and v are finite, of one shape (d =
+        ``dim`` when given) and without a zero row, and scale is finite."""
+        u, v = (np.atleast_2d(np.asarray(x, dtype=np.complex128)) for x in self[:2])
+        scale = np.atleast_1d(np.asarray(self.scale))
+        if u.ndim != 2 or u.size == 0 or v.shape != u.shape or scale.shape != u.shape[:1]:
+            raise ShapeError(f"u, v and scale must be of one shape (n, d), (n, d) and (n,), "
+                             f"got {u.shape}, {v.shape} and {scale.shape}")
+        if dim is not None and u.shape[1] != dim:
+            raise ShapeError(f"perturbations of dimension {u.shape[1]} do not fit a base of {dim}")
+        if not (np.isfinite(u).all() and np.isfinite(v).all() and np.isfinite(scale).all()):
+            raise ShapeError("perturbation factors contain non-finite entries")
+        if not (u.any(axis=1).all() and v.any(axis=1).all()):
             raise ShapeError("perturbation factors must have positive norm")
-
-    @property
-    def dim(self):
-        return self.u.size
-
-    @property
-    def scale(self):
-        """eps / (|u| |v|), the coefficient in front of ``u v^dag``."""
-        return self.eps / (self.norm_u * self.norm_v)
-
-    def materialize(self):
-        return self.scale * np.outer(self.u, np.conj(self.v))
+        return RankOnePerturbation(u, v, scale)
 
 
 def rank1_perturbation(d, eps, rng):
-    """Draw independent u, v and wrap them as a normalized rank-1
-    perturbation of spectral norm ``eps``; the entries are CN(0, 1)."""
+    """Draw independent u, v and wrap them as one normalized rank-1
+    perturbation of spectral norm ``eps``, with ``scale = eps / (|u| |v|)``;
+    the entries are CN(0, 1)."""
     if d < 1:
         raise ShapeError("dimension must be positive")
-    if eps <= 0:
-        raise ShapeError("eps must be positive")
-    # A zero draw has probability zero; resample once, then give up.  The
-    # draws are finite and of one dimension, and eps was checked, so the
-    # only ShapeError the constructor, which takes both norms, can raise is
-    # the zero-norm one.
+    if not (math.isfinite(eps) and eps > 0):
+        raise ShapeError("eps must be finite and positive")
+    # A zero draw has probability zero; resample once, then give up.
     for _ in range(2):
         u, v = rng.complex_normals(d), rng.complex_normals(d)
-        try:
-            return RankOnePerturbation(u, v, float(eps))
-        except ShapeError:
-            pass
+        norm_u, norm_v = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+        if norm_u != 0.0 and norm_v != 0.0:
+            return RankOnePerturbation(u, v, float(eps) / (norm_u * norm_v))
     raise ShapeError("drew a zero-norm vector twice in a row")
-
-
-def apply_perturbation(t, p):
-    """Dense sum ``T + eps u v^dag / (|u| |v|)``; a 1-D ``t`` is the
-    diagonal of ``T``."""
-    t = np.asarray(t, dtype=np.complex128)
-    if t.ndim == 1:
-        t = np.diag(t)
-    if t.shape != (p.dim, p.dim):
-        raise ShapeError(f"matrix shape {t.shape} does not match perturbation dim {p.dim}")
-    return t + p.materialize()

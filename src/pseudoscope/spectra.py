@@ -17,12 +17,12 @@ Three routes:
   trials at d=512, one BLAS thread),
 * ``dense-qr``: LAPACK's Hessenberg-QR eigensolver, the route for every
   other base and the cross-validation oracle; the only route that builds
-  the dense d x d base.
+  the dense d x d base, and the perturbed matrices in bounded stacks.
 
-Each route solves a block of trials and returns one :class:`Spectra` of
-arrays; a trial it cannot solve is a row with a nonempty reason.
-``pseudoscope.experiments.auto_route`` picks a structure's route, and
-``solve`` dispatches a block of trials to it.
+Each route checks a block of trials, one ``RankOnePerturbation`` of arrays,
+once, and returns one :class:`Spectra` of arrays; a trial it cannot solve
+is a row with a nonempty reason.  ``pseudoscope.experiments.auto_route``
+picks a structure's route, and ``solve`` dispatches a block to it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .linalg import as_complex_vector, jordan_quadratic_forms
-from .sampling import RankOnePerturbation, apply_perturbation
+from .sampling import RankOnePerturbation
 
 __all__ = [
     "Spectra",
@@ -67,18 +67,19 @@ def _uncertified(eigenvalues):
     return Spectra(eigenvalues, np.full(n, np.nan), np.full(n, "", dtype=object))
 
 
-def charpoly_jordan_rank1(p: RankOnePerturbation, scale=None):
-    """Characteristic polynomial of ``J + s u v^dag``, with ``s`` the given
-    ``scale`` or by default ``p.scale = eps / (|u| |v|)``, as its ascending
-    monic tail ``(c_0, ..., c_{d-1})``: the polynomial is
+def charpoly_jordan_rank1(perts: RankOnePerturbation):
+    """Characteristic polynomials of ``J + s u v^dag`` for each row of the
+    block ``perts``, as the (n, d) stack of their ascending monic tails
+    ``(c_0, ..., c_{d-1})``: row k's polynomial is
     ``lam^d + c_{d-1} lam^{d-1} + ... + c_0``.
 
     The determinant lemma against the nilpotent resolvent collapses the
     determinant to ``lam^d - s * sum_k q_k lam^{d-1-k}`` with
     ``q_k = v^dag J^k u``.
     """
-    q = jordan_quadratic_forms(p.u, p.v)
-    return -(p.scale if scale is None else scale) * q[::-1]
+    p = perts.checked()
+    q = np.array([jordan_quadratic_forms(u, v) for u, v in zip(p.u, p.v)])
+    return -p.scale[:, None] * q[:, ::-1]
 
 
 def _quadratic_roots(b, c):
@@ -295,11 +296,10 @@ def stacked_eigvals(count, size, build):
 
 
 def eigen_resolvent_aberth(diag, perts):
-    """All eigenvalues of ``D + eps u v^dag / (|u| |v|)`` for the diagonal
-    ``D`` with entries ``diag`` and each perturbation in ``perts``, by exact
-    deflation and one small dense eigenproblem per perturbation: one
-    :class:`Spectra` row per perturbation, in order, whose residual is NaN
-    (LAPACK certifies none).
+    """All eigenvalues of ``D + s u v^dag`` for the diagonal ``D`` with
+    entries ``diag`` and each row of the block ``perts``, by exact deflation
+    and one small dense eigenproblem per row: one :class:`Spectra` row per
+    perturbation, in order, whose residual is NaN (LAPACK certifies none).
 
     A rank-1 update moves exactly one eigenvalue out of each repeated
     eigenspace, so a value of multiplicity n_c keeps n_c - 1 exact copies.
@@ -308,43 +308,49 @@ def eigen_resolvent_aberth(diag, perts):
     cluster weights ``w_c = sum_{k in c} conj(v_k) u_k`` (Golub, SIAM Rev.
     1973): its characteristic function is the secular factor
     ``1 - s sum_c w_c / (lam - gamma_c)`` times ``prod_c (lam - gamma_c)``.
-    The distinct values are taken once for the block; ``perts`` may be any
-    iterable, read once, and only the m weights and the scale of each
-    perturbation are kept.  The block's m x m matrices are solved as stacks
-    by :func:`stacked_eigvals`, so each spectrum is bitwise that of its
-    perturbation solved alone.  A 2-D base or a perturbation of another
+    The distinct values are taken once for the block, and the weights of
+    every row in one ``np.add.at``.  The block's m x m matrices are solved
+    as stacks by :func:`stacked_eigvals`, so each spectrum is bitwise that
+    of its perturbation solved alone.  A 2-D base or a block of another
     dimension raises :class:`ShapeError`; a 2-D base's spectrum is the
     ``dense-qr`` route's.
     """
     diag = as_complex_vector(diag, name="diagonal")
+    p = perts.checked(diag.size)
     values, inverse, counts = np.unique(diag, return_inverse=True, return_counts=True)
-    m = values.size
-    weights, scales = [], []
-    for p in perts:
-        if p.dim != diag.size:
-            raise ShapeError(f"diagonal must have dimension {p.dim}, got {diag.size}")
-        w = np.zeros(m, dtype=np.complex128)
-        np.add.at(w, inverse, np.conj(p.v) * p.u)
-        weights.append(w)
-        scales.append(p.scale)
-    weights, scales = np.array(weights).reshape(-1, m), np.array(scales)
+    n, m = p.scale.size, values.size
+    weights = np.zeros((n, m), dtype=np.complex128)
+    np.add.at(weights, (np.arange(n)[:, None], inverse), np.conj(p.v) * p.u)
     # one trial's diag(values) + s * outer(w, ones), operation for operation
     base, ones = np.diag(values), np.ones(m)
-    moved = stacked_eigvals(len(scales), m, lambda rows: base + scales[rows, None, None]
+    moved = stacked_eigvals(n, m, lambda rows: base + p.scale[rows, None, None]
                             * (weights[rows, :, None] * ones))
-    eigenvalues = np.empty((len(scales), diag.size), dtype=np.complex128)
+    eigenvalues = np.empty((n, diag.size), dtype=np.complex128)
     eigenvalues[:, :m] = moved
     eigenvalues[:, m:] = np.repeat(values, counts - 1)
     return _uncertified(eigenvalues)
 
 
 def dense_eigenvalues(base, perts):
-    """All eigenvalues of ``base`` (d x d, or a 1-D diagonal) plus each
-    perturbation in ``perts`` via the Hessenberg-QR route (LAPACK): one
+    """All eigenvalues of ``base`` (d x d, or a 1-D diagonal) plus each row
+    of the block ``perts`` via the Hessenberg-QR route (LAPACK): one
     :class:`Spectra` row per perturbation, whose residual is NaN (LAPACK
-    certifies none)."""
-    eigenvalues = [np.linalg.eigvals(apply_perturbation(base, p)) for p in perts]
-    return _uncertified(np.array(eigenvalues, dtype=np.complex128).reshape(-1, np.shape(base)[-1]))
+    certifies none).  The matrices ``base + s u v^dag`` are built and solved
+    as stacks by :func:`stacked_eigvals`, so each row is bitwise that of
+    its matrix solved alone."""
+    base = np.asarray(base, dtype=np.complex128)
+    base = np.diag(base) if base.ndim == 1 else base
+    if base.ndim != 2 or base.shape[0] != base.shape[1]:
+        raise ShapeError(f"base must be square or a 1-D diagonal, got shape {base.shape}")
+    p = perts.checked(base.shape[0])
+
+    def build(rows):
+        out = p.u[rows, :, None] * np.conj(p.v[rows, None, :])
+        out *= p.scale[rows, None, None]
+        out += base
+        return out
+
+    return _uncertified(stacked_eigvals(p.scale.size, base.shape[0], build))
 
 
 def spectrum_match_distance(a, b):

@@ -1,9 +1,17 @@
 """Closed-form matrices and spectra that the tests check the solvers
-against.  No part of the package uses them."""
+against, and the stacking of one-trial draws into a block.  No part of the
+package uses them."""
 
 import math
 
 import numpy as np
+
+from pseudoscope import RankOnePerturbation
+
+
+def stack(draws):
+    """The one-trial draws ``draws`` as one block, row k being draw k."""
+    return RankOnePerturbation(*map(np.array, zip(*draws)))
 
 
 def jordan_nilpotent(d):

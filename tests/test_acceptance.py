@@ -93,8 +93,8 @@ def test_criterion_03_cross_solver_equivalence():
         spec = specs[trial % 3]
         d = int(rng.integers(5, 51))
         pert = rank1_perturbation(d, 2.0, SeededRng(SEED, trial))
-        [fast] = solve(spec, d, [pert], auto_route(spec)).eigenvalues
-        [dense] = solve(spec, d, [pert], "dense-qr").eigenvalues
+        [fast] = solve(spec, d, pert, auto_route(spec)).eigenvalues
+        [dense] = solve(spec, d, pert, "dense-qr").eigenvalues
         scale = 1.0 + float(np.max(np.abs(dense)))
         dist = spectrum_match_distance(fast, dense)
         worst_ratio = max(worst_ratio, dist / (1e-8 * scale))

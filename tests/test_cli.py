@@ -277,6 +277,46 @@ def test_tails_qf_diag_rejects_d_beside_entries(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_tails_qf_diag_rejects_all_zero_entries(tmp_path, capsys):
+    # the decay scale is 1 / max|entries|, which all-zero entries leave undefined
+    text = "[experiment]\nwhich = qf-diag\nentries = 0,0\ntrials = 100\n"
+    assert main(["tails", "--config", _write(tmp_path, text), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "entries must hold a nonzero value" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("which", cli.TAIL_KINDS)
+def test_tails_rejects_nonpositive_d(tmp_path, capsys, which):
+    # every kind reads d (corner's default delta is 3 / d), so d is checked first
+    cfg = _write(tmp_path, f"[experiment]\nwhich = {which}\nd = 0\ntrials = 10\n")
+    assert main(["tails", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "d must be positive" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("structure, key, message", [
+    ("jordan", "region = nan", "region must be auto or finite and positive"),
+    ("jordan", "region = 0", "region must be auto or finite and positive"),
+    ("diagonal(2,3)", "eps = inf", "eps must be finite and positive"),
+    ("jordan", "eps = inf", "eps must be finite and positive"),
+    ("jordan", "eps = nan", "eps must be finite and positive"),
+])
+def test_experiment_rejects_non_finite_eps_and_region(tmp_path, capsys, structure, key, message):
+    # nan <= 0 is false, so a plain sign check let a nan half-width through
+    # (written as "delta": NaN with containment 0) and an infinite eps into
+    # the solve
+    body = f"structure = {structure}\nd = 20\ntrials = 5\n{key}\n"
+    if not key.startswith("eps"):
+        body += "eps = 2.0\n"
+    out = tmp_path / "o"
+    cfg = _write(tmp_path, "[experiment]\n" + body)
+    assert main(["experiment", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_commands_reject_flags_they_ignore(tmp_path):
     # tails runs no worker threads; oracle-check reads no config, writes no
     # files and draws from fixed streams

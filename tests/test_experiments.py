@@ -14,7 +14,6 @@ from pseudoscope import (
     ExperimentConfig,
     SeededRng,
     StructureSpec,
-    apply_perturbation,
     charpoly_jordan_rank1,
     corner_annulus_probability,
     jordan_quadratic_forms,
@@ -28,6 +27,8 @@ from pseudoscope import (
     tail_quadratic_form_diag,
 )
 from pseudoscope.errors import ExperimentError
+
+from closed_forms import stack
 
 
 def _cfg(structure, d, trials, seed=7, **kw):
@@ -67,7 +68,7 @@ def test_zero_structure_keeps_exact_zeros_and_identity():
     from pseudoscope.sampling import rank1_perturbation
 
     p = rank1_perturbation(50, 2.0, SeededRng(7, 3))
-    expected = 2.0 * np.vdot(p.v, p.u) / (p.norm_u * p.norm_v)
+    expected = 2.0 * np.vdot(p.v, p.u) / (np.linalg.norm(p.u) * np.linalg.norm(p.v))
     moved = lams[np.argmax(np.abs(lams))]
     assert moved == pytest.approx(expected, abs=1e-12)
 
@@ -154,7 +155,7 @@ def test_non_finite_row_fails_with_its_reason(monkeypatch):
         return results
 
     monkeypatch.setattr(exp, "dense_eigenvalues", poisoned)
-    perts = [rank1_perturbation(10, 2.0, SeededRng(3, t)) for t in range(3)]
+    perts = stack(rank1_perturbation(10, 2.0, SeededRng(3, t)) for t in range(3))
     solved = exp.solve(StructureSpec.parse("toeplitz(3,2,1)"), 10, perts, "dense-qr")
     assert solved.reason.tolist() == ["", "non-finite eigenvalue", ""]
 
@@ -264,7 +265,7 @@ def _assert_matches_dense(cfg, report):
     assert report.indices.tolist() == list(range(cfg.trials))
     for i, lams in zip(report.indices, report.eigenvalues):
         pert = rank1_perturbation(cfg.d, cfg.eps, SeededRng(cfg.seed, i))
-        want = np.linalg.eigvals(apply_perturbation(base, pert))
+        want = np.linalg.eigvals(base + pert.scale * np.outer(pert.u, np.conj(pert.v)))
         assert spectrum_match_distance(lams, want) <= 1e-8
 
 

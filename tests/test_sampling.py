@@ -3,13 +3,27 @@ import pytest
 from scipy import special
 
 from pseudoscope import (
+    RankOnePerturbation,
     SeededRng,
     ShapeError,
-    apply_perturbation,
+    StructureSpec,
+    charpoly_jordan_rank1,
+    dense_eigenvalues,
+    eigen_resolvent_aberth,
     rank1_perturbation,
 )
+from pseudoscope.experiments import solve
 
-from closed_forms import jordan_nilpotent
+from closed_forms import stack
+
+
+def _dense(p):
+    """The dense perturbation ``scale u v^dag`` of one draw."""
+    return p.scale * np.outer(p.u, np.conj(p.v))
+
+
+def _norms(p):
+    return np.linalg.norm(p.u) * np.linalg.norm(p.v)
 
 
 def test_same_stream_is_bit_identical():
@@ -76,15 +90,15 @@ def test_rank1_norm_is_eps():
     worst = 0.0
     for i in range(1000):
         p = rank1_perturbation(50, 2.5, SeededRng(41, i))
-        worst = max(worst, abs(np.linalg.norm(p.materialize(), 2) - 2.5))
+        worst = max(worst, abs(np.linalg.norm(_dense(p), 2) - 2.5))
     assert worst <= 2.5e-9
 
 
 def test_rank1_eigenvalue_identity():
     p = rank1_perturbation(40, 2.0, SeededRng(43, 0))
-    lams = np.linalg.eigvals(p.materialize())
+    lams = np.linalg.eigvals(_dense(p))
     nonzero = lams[np.argmax(np.abs(lams))]
-    expected = 2.0 * np.vdot(p.v, p.u) / (p.norm_u * p.norm_v)
+    expected = 2.0 * np.vdot(p.v, p.u) / _norms(p)
     assert nonzero == pytest.approx(expected, abs=1e-10)
 
 
@@ -93,7 +107,7 @@ def test_rank1_eigenvalue_variance_clt():
     vals = np.empty(n, dtype=complex)
     for i in range(n):
         p = rank1_perturbation(d, eps, SeededRng(47, i))
-        vals[i] = eps * np.vdot(p.v, p.u) / (p.norm_u * p.norm_v)
+        vals[i] = eps * np.vdot(p.v, p.u) / _norms(p)
     var = np.var(vals)
     assert abs(var - eps**2 / d) <= 0.1 * eps**2 / d
 
@@ -127,34 +141,75 @@ def test_rank1_takes_each_norm_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", lambda x, *a, **k: calls.append(1) or norm(x, *a, **k))
     p = rank1_perturbation(16, 2.0, SeededRng(59, 0))
     assert len(calls) == 2
-    assert (p.norm_u, p.norm_v) == (norm(p.u), norm(p.v))
+    assert p.scale == 2.0 / (norm(p.u) * norm(p.v))
 
 
-def test_apply_perturbation_point_mass():
-    p = rank1_perturbation(3, 2.0, SeededRng(61, 0))
-    p.u[:] = [1, 0, 0]
-    p.v[:] = [1, 0, 0]
-    p.norm_u = p.norm_v = 1.0
-    a = apply_perturbation(np.zeros((3, 3), dtype=complex), p)
-    expected = np.zeros((3, 3), dtype=complex)
-    expected[0, 0] = 2.0
-    assert np.allclose(a, expected)
-    # a 1-D base is the diagonal of the dense base
-    base = np.array([1.0, 2.0, 3j])
-    assert np.array_equal(apply_perturbation(base, p), np.diag(base) + p.materialize())
+def test_rank1_draw_is_one_trial():
+    # a draw is 1-D u and v and a float scale; a route reads it as a block
+    # of one row, and a stacked block row by row
+    p = rank1_perturbation(6, 2.0, SeededRng(61, 0))
+    assert p.u.shape == p.v.shape == (6,) and isinstance(p.scale, float)
+    block = p.checked()
+    assert block.u.shape == block.v.shape == (1, 6) and block.scale.shape == (1,)
+    draws = [p, rank1_perturbation(6, 2.0, SeededRng(61, 1))]
+    stacked = stack(draws).checked(6)
+    assert stacked.u.shape == (2, 6) and stacked.scale.tolist() == [q.scale for q in draws]
 
 
-def test_apply_perturbation_is_rank_one_update():
-    t = jordan_nilpotent(25)
-    p = rank1_perturbation(25, 2.0, SeededRng(61, 1))
-    diff = apply_perturbation(t, p) - t
-    s = np.linalg.svd(diff, compute_uv=False)
-    assert s[1] <= 1e-9 * 2.0
+@pytest.mark.parametrize("eps", [0.0, -1.0, np.inf, np.nan])
+def test_rank1_rejects_eps_that_is_not_finite_and_positive(eps):
+    with pytest.raises(ShapeError, match="eps must be finite and positive"):
+        rank1_perturbation(4, eps, SeededRng(61, 0))
 
 
-def test_apply_perturbation_trace_shift():
-    t = jordan_nilpotent(12)
-    p = rank1_perturbation(12, 1.3, SeededRng(61, 2))
-    a = apply_perturbation(t, p)
-    expected = 1.3 * np.vdot(p.v, p.u) / (p.norm_u * p.norm_v)
-    assert np.trace(a) == pytest.approx(expected, abs=1e-12)
+_DIAGONAL = StructureSpec.parse("diagonal(2,3)").diagonal_entries(8)
+# Each route as a function of a block of dimension 8.
+_ROUTES = {"jordan-poly": charpoly_jordan_rank1,
+           "resolvent-aberth": lambda perts: eigen_resolvent_aberth(_DIAGONAL, perts),
+           "dense-qr": lambda perts: dense_eigenvalues(_DIAGONAL, perts)}
+
+
+def _bad_block(defect):
+    """A block of two rows of dimension 8 with the defect ``defect``."""
+    u, v = (SeededRng(63, k).complex_normals(16).reshape(2, 8) for k in (0, 1))
+    scale = np.array([0.5, 0.25])
+    if defect == "non-finite u":
+        u[1, 3] = np.nan
+    elif defect == "non-finite scale":
+        scale[1] = np.inf
+    elif defect == "zero v":
+        v[0] = 0
+    elif defect == "shapes":
+        v = v[:, 1:]
+    elif defect == "scale rows":
+        scale = scale[:1]
+    return RankOnePerturbation(u, v, scale)
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("non-finite u", "non-finite"), ("non-finite scale", "non-finite"), ("zero v", "positive norm"),
+    ("shapes", "of one shape"), ("scale rows", "of one shape")])
+@pytest.mark.parametrize("route", list(_ROUTES))
+def test_every_route_checks_its_block(route, defect, message):
+    # a route refuses a block unless u and v are finite, of one shape and
+    # without a zero row, and scale is finite with one entry per row
+    block = _bad_block(defect)
+    with pytest.raises(ShapeError, match=message):
+        _ROUTES[route](block)
+
+
+@pytest.mark.parametrize("structure, route", [("toeplitz(3,2)", "jordan-poly"),
+                                              ("diagonal(1,2,3j)", "resolvent-aberth"),
+                                              ("toeplitz(3,2,1)", "dense-qr")])
+def test_block_eigenvalue_sums_are_the_perturbed_trace(structure, route):
+    # the eigenvalues of T + s u v^dag sum to tr T + s v^dag u, on each row
+    # of a block, within 64 d u max(1, |lam|)^2 (u the unit roundoff)
+    d, spec = 48, StructureSpec.parse(structure)
+    base = spec.base_matrix(d)
+    trace = np.sum(base) if base.ndim == 1 else np.trace(base)
+    draws = [rank1_perturbation(d, 2.0, SeededRng(65, t)) for t in range(5)]
+    s = solve(spec, d, stack(draws), route)
+    assert s.reason.tolist() == [""] * len(draws)
+    for p, lams in zip(draws, s.eigenvalues):
+        bound = 64 * d * (np.finfo(float).eps / 2) * max(1.0, np.abs(lams).max()) ** 2
+        assert abs(np.sum(lams) - (trace + p.scale * np.vdot(p.v, p.u))) <= bound

@@ -8,9 +8,9 @@ import pytest
 
 import pseudoscope.spectra as spectra
 from pseudoscope import (
+    RankOnePerturbation,
     SeededRng,
     ShapeError,
-    apply_perturbation,
     charpoly_jordan_rank1,
     dense_eigenvalues,
     eigen_resolvent_aberth,
@@ -20,17 +20,16 @@ from pseudoscope import (
     spectrum_match_distance,
 )
 from pseudoscope.experiments import StructureSpec, auto_route, solve
-from pseudoscope.sampling import RankOnePerturbation
 
-from closed_forms import corner_eigenvalues, jordan_nilpotent
+from closed_forms import corner_eigenvalues, jordan_nilpotent, stack
 
 
 def test_charpoly_scalar_case():
-    p = RankOnePerturbation(np.array([2 + 1j]), np.array([1 - 1j]), 1.5)
+    p = RankOnePerturbation(np.array([2 + 1j]), np.array([1 - 1j]), 0.75)
     tail = charpoly_jordan_rank1(p)
-    expected_root = 1.5 * np.conj(1 - 1j) * (2 + 1j) / (abs(2 + 1j) * abs(1 - 1j))
-    assert tail.shape == (1,)
-    assert tail[0] == pytest.approx(-expected_root)
+    expected_root = 0.75 * np.conj(1 - 1j) * (2 + 1j)
+    assert tail.shape == (1, 1)
+    assert tail[0, 0] == pytest.approx(-expected_root)
 
 
 def test_charpoly_corner_surrogate_matches_closed_form():
@@ -40,8 +39,8 @@ def test_charpoly_corner_surrogate_matches_closed_form():
     v = np.zeros(d, dtype=complex)
     u[-1] = 5.0
     v[0] = 3.0
-    p = RankOnePerturbation(u, v, eps)
-    [roots] = poly_roots([charpoly_jordan_rank1(p)]).eigenvalues
+    p = RankOnePerturbation(u, v, eps / 15.0)
+    [roots] = poly_roots(charpoly_jordan_rank1(p)).eigenvalues
     assert spectrum_match_distance(roots, corner_eigenvalues(d, eps)) <= 1e-10
 
 
@@ -55,8 +54,8 @@ def test_readme_library_example_runs(capsys):
 def test_charpoly_roots_match_dense_oracle():
     d = 20
     p = rank1_perturbation(d, 2.0, SeededRng(71, 0))
-    [fast] = poly_roots([charpoly_jordan_rank1(p)]).eigenvalues
-    [dense] = dense_eigenvalues(jordan_nilpotent(d), [p]).eigenvalues
+    [fast] = poly_roots(charpoly_jordan_rank1(p)).eigenvalues
+    [dense] = dense_eigenvalues(jordan_nilpotent(d), p).eigenvalues
     assert spectrum_match_distance(fast, dense) <= 1e-8
 
 
@@ -78,8 +77,8 @@ def test_poly_roots_roots_of_unity():
 def test_poly_roots_large_random_charpoly_vs_dense():
     d = 100
     p = rank1_perturbation(d, 2.0, SeededRng(73, 1))
-    [fast] = poly_roots([charpoly_jordan_rank1(p)]).eigenvalues
-    [dense] = dense_eigenvalues(jordan_nilpotent(d), [p]).eigenvalues
+    [fast] = poly_roots(charpoly_jordan_rank1(p)).eigenvalues
+    [dense] = dense_eigenvalues(jordan_nilpotent(d), p).eigenvalues
     scale = 1.0 + np.max(np.abs(dense))
     assert spectrum_match_distance(fast, dense) <= 1e-8 * scale
 
@@ -110,18 +109,18 @@ def test_poly_roots_stack_matches_rows_solved_alone():
     # rows mix three jordan polynomials, three exact zero roots, a degree-2
     # remainder and a quadruple root that does not converge in 20 sweeps
     d = 16
-    jordan = [charpoly_jordan_rank1(rank1_perturbation(d, 2.0, SeededRng(95, t)))
-              for t in range(3)]
+    jordan = charpoly_jordan_rank1(stack(rank1_perturbation(d, 2.0, SeededRng(95, t))
+                                         for t in range(3)))
     zeros, quadratic = np.zeros((2, d), dtype=complex)
     zeros[3] = -(0.5**13)  # z^3 (z^13 - 0.5^13)
     quadratic[-2:] = [1.0, 0.5]  # z^14 (z^2 + 0.5 z + 1)
     circle = 2 * np.exp(2j * np.pi * np.arange(12) / 12)
     quadruple = np.polynomial.polynomial.polyfromroots([1, 1, 1, 1, *circle])[:-1]
-    stack = np.stack([jordan[0], zeros, jordan[1], quadratic, quadruple, jordan[2]])
-    results = poly_roots(stack, max_sweeps=20)
-    assert results.eigenvalues.shape == stack.shape
-    assert results.residual.shape == results.reason.shape == (len(stack),)
-    for k, tail in enumerate(stack):
+    tails = np.stack([jordan[0], zeros, jordan[1], quadratic, quadruple, jordan[2]])
+    results = poly_roots(tails, max_sweeps=20)
+    assert results.eigenvalues.shape == tails.shape
+    assert results.residual.shape == results.reason.shape == (len(tails),)
+    for k, tail in enumerate(tails):
         want = poly_roots([tail], max_sweeps=20)
         assert results.eigenvalues[k].tobytes() == want.eigenvalues[0].tobytes()
         assert results.residual[k].tobytes() == want.residual[0].tobytes()
@@ -140,14 +139,14 @@ def test_poly_roots_solves_a_bounded_number_of_roots_at_once(monkeypatch):
     # time, so memory is bounded at any stack size, and the split changes
     # no byte of any row
     d = 16
-    stack = np.stack([charpoly_jordan_rank1(rank1_perturbation(d, 2.0, SeededRng(97, t)))
-                      for t in range(7)])
-    whole = poly_roots(stack)
+    tails = charpoly_jordan_rank1(stack(rank1_perturbation(d, 2.0, SeededRng(97, t))
+                                        for t in range(7)))
+    whole = poly_roots(tails)
     rows, aberth = [], spectra._aberth
     monkeypatch.setattr(spectra, "_BLOCK_ENTRIES", 2 * d)
     monkeypatch.setattr(spectra, "_aberth",
                         lambda full, z, **kwargs: rows.append(len(z)) or aberth(full, z, **kwargs))
-    split = poly_roots(stack)
+    split = poly_roots(tails)
     assert rows == [2, 2, 2, 1]
     assert split.eigenvalues.tobytes() == whole.eigenvalues.tobytes()
     assert split.residual.tobytes() == whole.residual.tobytes()
@@ -168,7 +167,7 @@ def test_poly_roots_roots_spread_over_many_scales():
 def test_newton_polygon_starts_need_few_sweeps():
     # the starts keep the sweep count flat in d (13 to 16 at d=256, eps=2)
     for d in (64, 256):
-        full = np.append(charpoly_jordan_rank1(rank1_perturbation(d, 2.0, SeededRng(11, 0))), 1)
+        full = np.append(charpoly_jordan_rank1(rank1_perturbation(d, 2.0, SeededRng(11, 0)))[0], 1)
         starts = spectra._newton_polygon_starts(full)
         _, conv, sweeps = spectra._aberth(full[None], starts[None])
         assert conv.all()
@@ -183,9 +182,9 @@ def test_poly_roots_recovers_from_overflowed_newton_quotient():
     # toward the roots like an overflowed evaluation
     d = 256
     p = rank1_perturbation(d, 2.0, SeededRng(9131, 0))
-    s = poly_roots([charpoly_jordan_rank1(p)])
+    s = poly_roots(charpoly_jordan_rank1(p))
     assert s.reason[0] == ""
-    [dense] = dense_eigenvalues(jordan_nilpotent(d), [p]).eigenvalues
+    [dense] = dense_eigenvalues(jordan_nilpotent(d), p).eigenvalues
     assert spectrum_match_distance(s.eigenvalues[0], dense) <= 1e-8 * (1 + np.max(np.abs(dense)))
 
 
@@ -232,7 +231,7 @@ def test_jordan_poly_results_are_certified(eps):
         a0, a1 = structure.symbol().coeffs
         for d in (64, 256, 512):
             perts = [rank1_perturbation(d, eps, SeededRng(93, trial)) for trial in range(3)]
-            s = solve(structure, d, perts, "jordan-poly")
+            s = solve(structure, d, stack(perts), "jordan-poly")
             assert s.reason.tolist() == [""] * 3
             for p, lams, residual in zip(perts, s.eigenvalues, s.residual):
                 gaps = np.abs(lams[:, None] - lams[None, :])
@@ -254,7 +253,7 @@ def test_jordan_poly_closed_form_modulus_at_small_eps():
         within = []
         for trial in range(10):
             p = rank1_perturbation(d, 1e-12, SeededRng(0, trial))
-            [lams] = solve(StructureSpec("jordan"), d, [p], "jordan-poly").eigenvalues
+            [lams] = solve(StructureSpec("jordan"), d, p, "jordan-poly").eigenvalues
             r = abs(p.scale * np.conj(p.v[0]) * p.u[-1]) ** (1.0 / d)
             ratio = np.abs(lams) / r
             assert ratio.max() <= 1.1
@@ -290,16 +289,34 @@ def test_resolvent_block_matches_trials_solved_alone(monkeypatch, structure, d):
     stacks, eigvals = [], np.linalg.eigvals
     monkeypatch.setattr(spectra, "_BLOCK_ENTRIES", 3 * m * m - 1)
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: stacks.append(len(a)) or eigvals(a))
-    block = eigen_resolvent_aberth(diag, perts)
+    block = eigen_resolvent_aberth(diag, stack(perts))
     assert stacks == [2, 2, 2, 1]
     assert block.eigenvalues.shape == (len(perts), d)
     for p, lams in zip(perts, block.eigenvalues):
         assert lams.tobytes() == _resolvent_alone(diag, p).tobytes()
     # LAPACK certifies no residual
     assert np.isnan(block.residual).all() and block.reason.tolist() == [""] * len(perts)
-    # perturbations may also come one at a time, as a run draws them
-    streamed = eigen_resolvent_aberth(diag, iter(perts))
-    assert streamed.eigenvalues.tobytes() == block.eigenvalues.tobytes()
+
+
+@pytest.mark.parametrize("structure", ["toeplitz(3,2,1)", "diagonal(2,3)"])
+def test_dense_block_matches_trials_solved_alone(monkeypatch, structure):
+    # the block's matrices T + s u v^dag are built and solved as stacks of
+    # at most _BLOCK_ENTRIES entries, here two matrices, yet each trial's
+    # spectrum is bitwise that of its own matrix; a 1-D base is the
+    # diagonal of T
+    d = 12
+    base = StructureSpec.parse(structure).base_matrix(d)
+    dense = base if base.ndim == 2 else np.diag(base)
+    perts = [rank1_perturbation(d, 2.0, SeededRng(103, t)) for t in range(7)]
+    stacks, eigvals = [], np.linalg.eigvals
+    monkeypatch.setattr(spectra, "_BLOCK_ENTRIES", 3 * d * d - 1)
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: stacks.append(len(a)) or eigvals(a))
+    block = dense_eigenvalues(base, stack(perts))
+    assert stacks == [2, 2, 2, 1]
+    for p, lams in zip(perts, block.eigenvalues):
+        alone = eigvals(dense + p.scale * np.outer(p.u, np.conj(p.v)))
+        assert lams.tobytes() == alone.tobytes()
+    assert np.isnan(block.residual).all() and block.reason.tolist() == [""] * len(perts)
 
 
 def test_resolvent_block_memory_stays_bounded():
@@ -308,7 +325,7 @@ def test_resolvent_block_memory_stays_bounded():
     # the solve peaks at about 6.4 MB traced (Python 3.11, numpy 2.4)
     d, trials = 300, 200
     diag = np.arange(d) * (1 + 0.5j)
-    perts = [rank1_perturbation(d, 2.0, SeededRng(101, t)) for t in range(trials)]
+    perts = stack(rank1_perturbation(d, 2.0, SeededRng(101, t)) for t in range(trials))
     tracemalloc.start()
     try:
         block = eigen_resolvent_aberth(diag, perts)
@@ -321,14 +338,14 @@ def test_resolvent_block_memory_stays_bounded():
 
 def test_resolvent_vanishing_perturbation_keeps_diagonal():
     p = rank1_perturbation(2, 1e-14, SeededRng(77, 0))
-    [lams] = eigen_resolvent_aberth(np.array([2.0, 3.0], dtype=complex), [p]).eigenvalues
+    [lams] = eigen_resolvent_aberth(np.array([2.0, 3.0], dtype=complex), p).eigenvalues
     assert spectrum_match_distance(lams, np.array([2.0, 3.0])) <= 1e-10
 
 
 def test_resolvent_two_cluster_diagonal_vs_dense():
     d = 40
     diag = np.array([2.0] * (d // 2) + [3.0] * (d // 2), dtype=complex)
-    perts = [rank1_perturbation(d, 2.0, SeededRng(79, t)) for t in (0, 3, 4)]
+    perts = stack(rank1_perturbation(d, 2.0, SeededRng(79, t)) for t in (0, 3, 4))
     fast = eigen_resolvent_aberth(diag, perts).eigenvalues
     dense = dense_eigenvalues(np.diag(diag), perts).eigenvalues
     for f, x in zip(fast, dense):
@@ -340,13 +357,13 @@ def test_resolvent_rejects_triangular_base():
     p = rank1_perturbation(d, 2.0, SeededRng(79, 1))
     for structure in ("toeplitz(3,2,1)", "jordan"):
         with pytest.raises(ShapeError):
-            eigen_resolvent_aberth(StructureSpec.parse(structure).base_matrix(d), [p])
+            eigen_resolvent_aberth(StructureSpec.parse(structure).base_matrix(d), p)
         with pytest.raises(ShapeError):
-            solve(StructureSpec.parse(structure), d, [p], "resolvent-aberth")
+            solve(StructureSpec.parse(structure), d, p, "resolvent-aberth")
     # the route takes the 1-D diagonal only, never its dense matrix
     values = StructureSpec.parse("diagonal(2,3)").diagonal_entries(d)
     with pytest.raises(ShapeError):
-        eigen_resolvent_aberth(np.diag(values), [p])
+        eigen_resolvent_aberth(np.diag(values), p)
 
 
 def test_jordan_poly_rejects_base_it_does_not_model():
@@ -358,20 +375,20 @@ def test_jordan_poly_rejects_base_it_does_not_model():
     for structure in ("jordan-corner(0.5)", "toeplitz(3,2,1)", "diagonal(2,3)", "zero",
                       "scalar(1)"):
         with pytest.raises(ShapeError):
-            solve(StructureSpec.parse(structure), d, [p], "jordan-poly")
+            solve(StructureSpec.parse(structure), d, p, "jordan-poly")
     for structure in ("jordan", "toeplitz(3,2)"):
-        s = solve(StructureSpec.parse(structure), d, [p], "jordan-poly")
+        s = solve(StructureSpec.parse(structure), d, p, "jordan-poly")
         assert s.eigenvalues.shape == (1, d)
 
 
 def test_resolvent_rejects_dim_mismatch():
     p = rank1_perturbation(4, 1.0, SeededRng(79, 2))
     q = rank1_perturbation(5, 1.0, SeededRng(79, 3))
-    with pytest.raises(ShapeError):
-        eigen_resolvent_aberth(np.zeros(5, dtype=complex), [p])
-    # one perturbation of another dimension fails the whole block
-    with pytest.raises(ShapeError):
-        eigen_resolvent_aberth(np.zeros(5, dtype=complex), [q, p, q])
+    with pytest.raises(ShapeError, match="do not fit"):
+        eigen_resolvent_aberth(np.zeros(5, dtype=complex), p)
+    # a block has one dimension: a v of another fails the whole block
+    with pytest.raises(ShapeError, match="of one shape"):
+        eigen_resolvent_aberth(np.zeros(5, dtype=complex), p._replace(v=q.v))
 
 
 def _unit(d, k):
@@ -381,8 +398,8 @@ def _unit(d, k):
 def test_dense_corner_fourth_roots():
     # the corner block is J plus the rank-1 corner e_4 e_1^dag
     corner = RankOnePerturbation(_unit(4, 3), _unit(4, 0), 1.0)
-    assert np.array_equal(apply_perturbation(jordan_nilpotent(4), corner), jordan_corner(4, 1))
-    s = dense_eigenvalues(jordan_nilpotent(4), [corner])
+    assert np.array_equal(jordan_nilpotent(4) + np.outer(corner.u, corner.v), jordan_corner(4, 1))
+    s = dense_eigenvalues(jordan_nilpotent(4), corner)
     expected = np.array([1, 1j, -1, -1j])
     assert spectrum_match_distance(s.eigenvalues[0], expected) <= 1e-10
     assert np.isnan(s.residual[0]) and s.reason[0] == ""
@@ -391,7 +408,7 @@ def test_dense_corner_fourth_roots():
 def test_dense_companion_cube_roots():
     # the cyclic shift is the lower shift plus the rank-1 corner e_1 e_3^dag
     shift = np.diag(np.ones(2, dtype=complex), -1)
-    [lams] = dense_eigenvalues(shift, [RankOnePerturbation(_unit(3, 0), _unit(3, 2), 1.0)]
+    [lams] = dense_eigenvalues(shift, RankOnePerturbation(_unit(3, 0), _unit(3, 2), 1.0)
                                ).eigenvalues
     expected = np.exp(2j * np.pi * np.arange(3) / 3)
     assert spectrum_match_distance(lams, expected) <= 1e-12
@@ -442,8 +459,8 @@ def test_oracle_equivalence_sample(kind):
     for trial in range(20):
         d = int(rng.integers(5, 51))
         p = rank1_perturbation(d, 2.0, SeededRng(83, trial))
-        [fast] = solve(structure, d, [p], route).eigenvalues
-        [dense] = solve(structure, d, [p], "dense-qr").eigenvalues
+        [fast] = solve(structure, d, p, route).eigenvalues
+        [dense] = solve(structure, d, p, "dense-qr").eigenvalues
         scale = 1.0 + np.max(np.abs(dense))
         assert spectrum_match_distance(fast, dense) <= 1e-8 * scale
 
@@ -454,18 +471,16 @@ def test_trace_conservation(kind):
     structure, route = _structure_case(kind)
     base = structure.base_matrix(d)
     p = rank1_perturbation(d, 2.0, SeededRng(87, _STRUCTURE_STREAMS[kind]))
-    [lams] = solve(structure, d, [p], route).eigenvalues
+    [lams] = solve(structure, d, p, route).eigenvalues
     trace = np.trace(base) if base.ndim == 2 else np.sum(base)
-    expected = trace + p.eps * np.vdot(p.v, p.u) / (
-        p.norm_u * p.norm_v
-    )
+    expected = trace + 2.0 * np.vdot(p.v, p.u) / (np.linalg.norm(p.u) * np.linalg.norm(p.v))
     assert np.sum(lams) == pytest.approx(expected, abs=1e-8 * d * (1 + abs(expected)))
 
 
 def test_determinant_conservation_jordan():
     for d in (5, 12, 30):
         p = rank1_perturbation(d, 2.0, SeededRng(89, d))
-        [lams] = poly_roots([charpoly_jordan_rank1(p)]).eigenvalues
+        [lams] = poly_roots(charpoly_jordan_rank1(p)).eigenvalues
         q_last = np.conj(p.v[0]) * p.u[-1]
         expected = p.scale * abs(q_last)
         prod = np.abs(np.prod(lams))
@@ -476,9 +491,9 @@ def test_zero_and_trivial_shift_never_eigenvalues():
     for trial in range(50):
         d = 20
         p = rank1_perturbation(d, 2.0, SeededRng(91, trial))
-        [lams] = poly_roots([charpoly_jordan_rank1(p)]).eigenvalues
+        [lams] = poly_roots(charpoly_jordan_rank1(p)).eigenvalues
         assert np.min(np.abs(lams)) > 1e-12
-        [lams] = solve(StructureSpec.parse("toeplitz(3,2)"), d, [p], "dense-qr").eigenvalues
+        [lams] = solve(StructureSpec.parse("toeplitz(3,2)"), d, p, "dense-qr").eigenvalues
         assert np.min(np.abs(lams - 3.0)) > 1e-12
 
 
@@ -488,12 +503,12 @@ def test_jordan_poly_beats_dense_qr_at_small_eps():
     mpmath = pytest.importorskip("mpmath")
     d = 48
     p = rank1_perturbation(d, 1e-12, SeededRng(0, 0))
-    full = np.append(charpoly_jordan_rank1(p), 1)
+    full = np.append(charpoly_jordan_rank1(p)[0], 1)
     with mpmath.workdps(60):
         desc = [mpmath.mpc(c.real, c.imag) for c in full[::-1]]
         ref = np.array([complex(r) for r in mpmath.polyroots(desc, maxsteps=200, extraprec=200)])
     jordan = StructureSpec("jordan")
-    [fast], [dense] = (solve(jordan, d, [p], route).eigenvalues
+    [fast], [dense] = (solve(jordan, d, p, route).eigenvalues
                        for route in ("jordan-poly", "dense-qr"))
     assert spectrum_match_distance(fast, ref) <= 1e-13
     assert spectrum_match_distance(dense, ref) >= 1e-10

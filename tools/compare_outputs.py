@@ -12,10 +12,12 @@ Toeplitz cases, one of them the linear ``toeplitz(3,2)`` on the
 ``diagonal(2,3)`` at d=512 with 200 trials (the largest files a run writes:
 about 5 MB of CSV and 8 MB of SVG), ``experiment`` on a diagonal of 40
 distinct values at d=100 with 100 trials (whose 40 x 40 deflated matrices
-``resolvent-aberth`` solves in several stacks), ``experiment`` on ``jordan``
-at d=1024 with 10 trials (where ``jordan-poly`` splits each trial's pairwise
-root differences into several blocks) and ``scaling`` on ``jordan``, all
-with ``--threads 1``, the five ``tails`` kinds (which take no
+``resolvent-aberth`` solves in several stacks), ``experiment`` on
+``diagonal(2,3)`` with ``solver = dense-qr`` at d=100 with 100 trials (the
+one run that sends a 1-D diagonal base down ``dense-qr``), ``experiment``
+on ``jordan`` at d=1024 with 10 trials (where ``jordan-poly`` splits each
+trial's pairwise root differences into several blocks) and ``scaling`` on
+``jordan``, all with ``--threads 1``, the five ``tails`` kinds (which take no
 ``--threads``), plus ``experiment`` on ``jordan``, ``diagonal(2,3)`` and
 ``toeplitz(0,1,0.5,0.25)`` with ``--threads 3``, so that a tree that splits
 work across threads differently is held to the same bytes, and
@@ -58,6 +60,8 @@ def runs():
            "structure = diagonal(2,3)\nd = 512\neps = 2.0\ntrials = 200\n", 1)
     yield ("experiment-diagonal-40-values", "experiment",
            f"structure = {FORTY_VALUES}\nd = 100\neps = 2.0\ntrials = 100\n", 1)
+    yield ("experiment-diagonal(2,3)-dense-qr", "experiment",
+           "structure = diagonal(2,3)\nd = 100\neps = 2.0\ntrials = 100\nsolver = dense-qr\n", 1)
     yield ("experiment-jordan-d1024", "experiment",
            "structure = jordan\nd = 1024\neps = 2.0\ntrials = 10\n", 1)
     for structure in THREADED_STRUCTURES:
