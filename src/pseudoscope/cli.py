@@ -119,6 +119,13 @@ def _int_list(text):
     return [int(s) for s in items]
 
 
+def _dims(text):
+    dims = _int_list(text)
+    if len(set(dims)) < len(dims):
+        raise ConfigError(f"dims repeats a dimension: {text}")
+    return dims
+
+
 def _complex_list(text):
     items = [s.strip() for s in text.split(",") if s.strip()]
     return [complex(s.replace(" ", "")) for s in items]
@@ -176,7 +183,7 @@ def _experiment_config(args, need_dims=False):
         values, lines, "solver", lambda s: check_route(s, structure), default="auto"
     )
     region = _take(values, lines, "region", _region_value, default="auto")
-    dims = _take(values, lines, "dims", _int_list, default=None)
+    dims = _take(values, lines, "dims", _dims, default=None)
     _check_leftover(values, lines)
     if need_dims:
         if not dims:

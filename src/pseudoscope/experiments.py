@@ -410,8 +410,10 @@ def scaling_fit(structure: StructureSpec, dims, eps, trials, seed, threads=1,
     translation-invariant structures.
     """
     dims = [int(d) for d in dims]
+    if len(set(dims)) < len(dims):
+        raise ConfigError(f"scaling dimensions must be distinct, got {dims}")
     if len(dims) < 3:
-        raise ConfigError("scaling needs at least 3 dimensions")
+        raise ConfigError("scaling needs at least 3 distinct dimensions")
     if min(dims) < 16:
         raise ConfigError("scaling dimensions must be at least 16")
     per_dim = []

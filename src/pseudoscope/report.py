@@ -5,9 +5,12 @@ Numbers are serialized with Python's shortest round-trip representation,
 so parsing an emitted CSV reproduces the in-memory values exactly.
 
 The eigenvalue CSV and scatter SVG writers stream one trial row at a
-time: a row is converted to Python floats and formatted by one ``%``
-template built once per file for the row's length, then written in one
-piece, so no writer holds an object per value of the whole run.  The
+time: a row is formatted by one ``%`` template built once per file for the
+row's length, then written in one piece, so no writer holds an object per
+value of the whole run.  Columns whose value has the same bits in every
+row, such as the deflated copies of a repeated diagonal value, are
+formatted once per file, from the first row, into that template; each row
+converts to Python floats and formats only its other columns.  The
 manifest hashes each file in 1 MiB reads.
 """
 
@@ -25,22 +28,69 @@ REPORT_SCHEMA_VERSION = 2
 _HASH_READ_BYTES = 1 << 20
 
 
+def _fixed_columns(eigenvalues):
+    """Mask of the columns whose value has the same bits in every row.
+
+    Bits, not values: 0.0 and -0.0 compare equal but print differently.
+    Each row is compared with row 0 in turn, so no temporary of the
+    cloud's size is built, and the pass stops once no column is left.
+    """
+    re, im = (part.view(f"u{part.itemsize}") for part in (eigenvalues.real, eigenvalues.imag))
+    fixed = np.full(eigenvalues.shape[1], len(eigenvalues) > 0)
+    for k in range(1, len(eigenvalues)):
+        fixed &= re[k] == re[0]
+        fixed &= im[k] == im[0]
+        if not fixed.any():
+            break
+    return fixed
+
+
+def _row_template(eigenvalues, slots, args):
+    """One row's ``%`` template, and the columns each row still fills.
+
+    ``slots(a, b)`` is the template of columns a..b-1 and ``args(z)`` the
+    arguments it takes for those columns' values ``z``.  Each run of
+    columns with the same bits in every row is formatted once, from row 0,
+    and kept as literal text with ``%`` escaped; every other run keeps its
+    slots.
+    """
+    fixed = _fixed_columns(eigenvalues)
+    cuts = [0, *(np.flatnonzero(np.diff(fixed)) + 1).tolist(), len(fixed)]
+    parts = []
+    for a, b in zip(cuts, cuts[1:]):
+        text = slots(a, b)
+        if fixed[a:b].any():  # a run is fixed in every column or in none
+            text = (text % args(eigenvalues[0, a:b])).replace("%", "%%")
+        parts.append(text)
+    return "".join(parts), np.flatnonzero(~fixed)
+
+
+def _interleaved(xs, ys):
+    """The tuple x0, y0, x1, y1, ... of two lists of one length."""
+    args = xs + ys
+    args[0::2], args[1::2] = xs, ys
+    return tuple(args)
+
+
 def write_eigenvalue_csv(path, indices, eigenvalues):
     """Columns trial,index,re,im; one row per eigenvalue, trial order.
     Row k of ``eigenvalues`` belongs to trial ``indices[k]``.  Each trial
-    row is formatted with one template and written in one piece; no field
-    ever needs CSV quoting (ints and float reprs hold no comma, quote or
-    line break)."""
-    d = eigenvalues.shape[1]
-    row = "".join([f"%d,{j},%r,%r\r\n" for j in range(d)])
-    args = [0] * (3 * d)  # trial, re, im of each value in turn
+    row is formatted with one template and written in one piece: the
+    columns fixed across rows are formatted into the template, and a
+    marker stands for the trial number of every line.  No field ever needs
+    CSV quoting (ints and float reprs hold no comma, quote or line
+    break)."""
+
+    def pairs(lams):
+        return _interleaved(lams.real.tolist(), lams.imag.tolist())
+
+    row, var = _row_template(  # "\0" marks the trial number
+        eigenvalues, lambda a, b: "".join([f"\0,{j},%r,%r\r\n" for j in range(a, b)]), pairs
+    )
     with open(path, "w", newline="") as fh:
         fh.write("trial,index,re,im\r\n")
         for trial, lams in zip(indices.tolist(), eigenvalues):
-            args[0::3] = [trial] * d
-            args[1::3] = lams.real.tolist()
-            args[2::3] = lams.imag.tolist()
-            fh.write(row % tuple(args))
+            fh.write((row % pairs(lams[var])).replace("\0", str(trial)))
 
 
 def report_to_json_dict(report):
@@ -104,8 +154,11 @@ def write_scatter_svg(path, eigenvalues, curves, size=800, margin_frac=0.10):
 
     Axis ranges auto-fit the points and overlays with a 10% margin; the
     vertical axis is flipped so the upper half plane is on top.  Row k of
-    ``eigenvalues`` is trial k's spectrum; each row is scaled as one array,
-    formatted with one template and written in one piece.
+    ``eigenvalues`` is trial k's spectrum.  The circles of the columns
+    fixed across rows are formatted into the template once; each row
+    scales its other points as one array (elementwise, so a point's pixel
+    coordinates do not depend on which others are scaled with it) and is
+    written in one piece.
     """
     curves = [np.asarray(c) for c in curves]
     parts = [eigenvalues, *curves]  # extremes read in place, with no joined copy
@@ -124,6 +177,10 @@ def write_scatter_svg(path, eigenvalues, curves, size=800, margin_frac=0.10):
         ys = size - (z.imag - lo_y) / (hi_y - lo_y) * size
         return xs.tolist(), ys.tolist()
 
+    def points(z):
+        """The ``%`` arguments of the circles of the points ``z``."""
+        return _interleaved(*scaled(z))
+
     with open(path, "w") as fh:
         fh.write(
             '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -135,11 +192,9 @@ def write_scatter_svg(path, eigenvalues, curves, size=800, margin_frac=0.10):
             fh.write(
                 f'<path d="M{coords} Z" fill="none" stroke="#c02020" stroke-width="1.2"/>\n'
             )
-        circles = _CIRCLE * eigenvalues.shape[1]
-        args = [0.0] * (2 * eigenvalues.shape[1])  # x, y of each point in turn
+        circles, var = _row_template(eigenvalues, lambda a, b: _CIRCLE * (b - a), points)
         for row in eigenvalues:
-            args[0::2], args[1::2] = scaled(row)
-            fh.write(circles % tuple(args))
+            fh.write(circles % points(row[var]))
         fh.write("</svg>\n")
 
 

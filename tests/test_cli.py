@@ -215,6 +215,19 @@ def test_scaling_rejects_empty_and_single_dims(tmp_path):
         assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_scaling_rejects_repeated_dims(tmp_path, capsys):
+    # 64,64,64 fitted a line through one point (slope -0.090 and a numpy
+    # RankWarning, exit 0); 64,64,128 fitted two
+    for dims in ("64,64,64", "64,64,128"):
+        text = f"[experiment]\nstructure = jordan\neps = 2.0\ndims = {dims}\ntrials = 5\n"
+        cfg = _write(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["scaling", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "line 4" in err and "dims repeats a dimension" in err
+        assert not (out / "scaling.json").exists()
+
+
 @pytest.mark.parametrize(
     "which,extra",
     [

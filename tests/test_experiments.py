@@ -373,6 +373,9 @@ def test_scaling_fit_validates_dims():
         scaling_fit(spec, [64, 128], 2.0, 10, 0)
     with pytest.raises(ConfigError):
         scaling_fit(spec, [8, 16, 32], 2.0, 10, 0)
+    for dims in ([64, 64, 64], [64, 64, 128], [64, 128, 256, 128]):
+        with pytest.raises(ConfigError, match="distinct"):
+            scaling_fit(spec, dims, 2.0, 10, 0)
 
 
 def test_norm_tail_split_at_zero():

@@ -1,6 +1,7 @@
 """The experiment writers against reference copies of their earlier,
-one-object-per-value implementations, byte for byte, and their traced
-memory peaks on a full-size cloud."""
+one-object-per-value implementations, byte for byte, on clouds with and
+without columns that hold the same bits in every row, and their traced
+memory peaks on full-size clouds."""
 
 import csv
 import hashlib
@@ -10,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pseudoscope import ExperimentConfig, StructureSpec, run_experiment
 from pseudoscope import report as rp
 from pseudoscope.geometry import DiskUnion
 
@@ -70,6 +72,31 @@ def _cloud(trials, d, seed=3):
     return rng.standard_normal((trials, d)) + 1j * rng.standard_normal((trials, d))
 
 
+def _deflated(trials, d, seed=3):
+    """A cloud shaped like a ``resolvent-aberth`` block of ``diagonal(2,3)``:
+    two moved values per row, then the same d - 2 deflated copies."""
+    lams = _cloud(trials, d, seed)
+    lams[:, 2:] = np.repeat([2.0 + 0j, 3.0 + 0j], [d // 2 - 1, d - d // 2 - 1])
+    return lams
+
+
+def _signed_zero_column():
+    lams = _cloud(3, 5)
+    lams[:, 1] = 0.25 + 0j
+    lams[:, 3] = complex(1.5, 0.0)
+    lams[1, 3] = complex(1.5, -0.0)  # equal to the others, printed differently
+    lams[:, 4] = complex(-0.0, 0.0)
+    lams[2, 4] = complex(0.0, 0.0)
+    return lams
+
+
+def _fixed_but_last():
+    lams = _cloud(4, 6)
+    lams[:, 1:5] = lams[0, 1:5]
+    lams[-1, 2] += 2**-40
+    return lams
+
+
 CURVES = [
     *DiskUnion([0.5 - 0.25j], 2.0).outline(),
     [complex(-1, 1), complex(1, 1), complex(0, -1)],  # a plain list is accepted too
@@ -88,7 +115,26 @@ CLOUDS = {
     ]),
     "single-d1": np.array([[2.5 - 0.5j]]),
     "seeded": _cloud(20, 64),
+    "deflated": _deflated(20, 64),
+    "signed-zero-column": _signed_zero_column(),
+    "fixed-but-last": _fixed_but_last(),
 }
+
+# the columns of each cloud whose value has the same bits in every row
+FIXED_COLUMNS = {
+    "negative-zero": [0, 1, 2, 3],  # one row: every column
+    "exponent-reprs": [],
+    "single-d1": [0],
+    "seeded": [],
+    "deflated": list(range(2, 64)),
+    "signed-zero-column": [1],
+    "fixed-but-last": [1, 3, 4],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOUDS))
+def test_fixed_columns_compare_bits(name):
+    assert np.flatnonzero(rp._fixed_columns(CLOUDS[name])).tolist() == FIXED_COLUMNS[name]
 
 
 def _same_bytes(tmp_path, writer, reference, *args, **kwargs):
@@ -136,29 +182,50 @@ def test_manifest_hashes_across_read_boundaries(tmp_path):
         assert manifest["files"][name] == "sha256:" + expected
 
 
+def test_diagonal_run_formats_its_deflated_columns_once(tmp_path):
+    cfg = ExperimentConfig(
+        structure=StructureSpec.parse("diagonal(2,3)"), d=64, eps=2.0, trials=30, seed=7,
+    )
+    report = run_experiment(cfg)
+    assert report.solver == "resolvent-aberth"
+    # the rank-1 update moves one copy of each of the 2 values; the other
+    # 64 - 2 = 62 copies come out of the deflation with the same bits in
+    # every row
+    assert np.flatnonzero(rp._fixed_columns(report.eigenvalues)).tolist() == list(range(2, 64))
+    curves = rp.region_overlay_curves(report.region, report.exclusion)
+    assert _same_bytes(tmp_path, rp.write_eigenvalue_csv, reference_eigenvalue_csv,
+                       report.indices, report.eigenvalues)
+    assert _same_bytes(tmp_path, rp.write_scatter_svg, reference_scatter_svg,
+                       report.eigenvalues, curves)
+
+
 # Traced peaks on a (200, 512) cloud, with Python 3.11 and numpy 2.4:
-# 0.09 MB (CSV), 0.13 MB (SVG, one row's strings; an axis fit that
+# 0.08 MB (CSV), 0.15 MB (SVG, one row's strings; an axis fit that
 # concatenated every coordinate peaked at 1.8 MB) and 2.1 MB (manifest,
-# two 1 MiB reads alive at once).  Writers that build one object per value
-# peaked at 4.3, 31 and 7.8 MB.
+# two 1 MiB reads alive at once).  Writers that build one
+# object per value peaked at 4.3, 31 and 7.8 MB.  On the deflated cloud,
+# whose templates hold 510 formatted columns, the peaks are 0.06, 0.15 and
+# 2.1 MB: the SVG writer formats a fixed run from one repeated circle
+# template, with no list of one string per circle.
 MEMORY_BOUNDS_MB = {"csv": 0.3, "svg": 0.2, "manifest": 3.2}
 
 
 def test_writer_memory_stays_bounded(tmp_path):
-    lams = _cloud(200, 512, seed=11)
-    writers = {
-        "csv": lambda: rp.write_eigenvalue_csv(tmp_path / "e.csv", np.arange(200), lams),
-        "svg": lambda: rp.write_scatter_svg(tmp_path / "s.svg", lams, CURVES),
-        "manifest": lambda: rp.write_manifest(str(tmp_path), ["e.csv", "s.svg"]),
-    }
-    peaks = {}
-    for name, write in writers.items():
-        tracemalloc.start()
-        try:
-            write()
-            peaks[name] = tracemalloc.get_traced_memory()[1] / 1e6
-        finally:
-            tracemalloc.stop()
-    assert (tmp_path / "s.svg").stat().st_size > 7e6  # both files span several reads
-    for name, bound in MEMORY_BOUNDS_MB.items():
-        assert peaks[name] < bound, (name, peaks[name])
+    for cloud in (_cloud, _deflated):
+        lams = cloud(200, 512, seed=11)
+        writers = {
+            "csv": lambda: rp.write_eigenvalue_csv(tmp_path / "e.csv", np.arange(200), lams),
+            "svg": lambda: rp.write_scatter_svg(tmp_path / "s.svg", lams, CURVES),
+            "manifest": lambda: rp.write_manifest(str(tmp_path), ["e.csv", "s.svg"]),
+        }
+        peaks = {}
+        for name, write in writers.items():
+            tracemalloc.start()
+            try:
+                write()
+                peaks[name] = tracemalloc.get_traced_memory()[1] / 1e6
+            finally:
+                tracemalloc.stop()
+        assert (tmp_path / "s.svg").stat().st_size > 7e6  # both files span several reads
+        for name, bound in MEMORY_BOUNDS_MB.items():
+            assert peaks[name] < bound, (cloud.__name__, name, peaks[name])

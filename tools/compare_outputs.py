@@ -16,7 +16,10 @@ distinct values at d=100 with 100 trials (whose 40 x 40 deflated matrices
 ``diagonal(2,3)`` with ``solver = dense-qr`` at d=100 with 100 trials (the
 one run that sends a 1-D diagonal base down ``dense-qr``), ``experiment``
 on ``jordan`` at d=1024 with 10 trials (where ``jordan-poly`` splits each
-trial's pairwise root differences into several blocks) and ``scaling`` on
+trial's pairwise root differences into several blocks), ``experiment`` on
+``jordan`` at d=100 with one trial (where every column holds the same bits
+in every row, so the writers format the whole row into their templates)
+and ``scaling`` on
 ``jordan``, all with ``--threads 1``, the five ``tails`` kinds (which take no
 ``--threads``), plus ``experiment`` on ``jordan``, ``diagonal(2,3)`` and
 ``toeplitz(0,1,0.5,0.25)`` with ``--threads 3``, so that a tree that splits
@@ -64,6 +67,8 @@ def runs():
            "structure = diagonal(2,3)\nd = 100\neps = 2.0\ntrials = 100\nsolver = dense-qr\n", 1)
     yield ("experiment-jordan-d1024", "experiment",
            "structure = jordan\nd = 1024\neps = 2.0\ntrials = 10\n", 1)
+    yield ("experiment-jordan-one-trial", "experiment",
+           "structure = jordan\nd = 100\neps = 2.0\ntrials = 1\n", 1)
     for structure in THREADED_STRUCTURES:
         yield (f"experiment-{structure}-threads3", "experiment",
                f"structure = {structure}\nd = 100\neps = 2.0\ntrials = 100\n", 3)
